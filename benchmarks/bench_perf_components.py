@@ -3,14 +3,14 @@
 Unlike the figure benches (single-round experiment regeneration), these
 use pytest-benchmark's repeated timing to track the throughput of the
 hot components: analysis, indexing, vectorisation, PageRank, pattern
-scoring, and the search path.  Regressions here show up as timing shifts
+construction and scoring, and the search path.  Regressions here show up as timing shifts
 in the benchmark table rather than assertion failures.
 """
 
 import pytest
 
 from repro.citations.pagerank import pagerank
-from repro.core.patterns import score_paper_against_patterns
+from repro.core.patterns import PatternSetBuilder, score_paper_against_patterns
 from repro.text.analyze import Analyzer
 
 
@@ -68,12 +68,48 @@ def test_perf_pattern_scoring(benchmark, pipeline):
     paper_id = pipeline.pattern_paper_set.context(term_id).paper_ids[0]
     result = benchmark(
         score_paper_against_patterns,
-        pattern_set,
+        pattern_set.by_first_middle_word(),
         pipeline.tokens,
         paper_id,
         True,
     )
     assert result >= 0.0
+
+
+def test_perf_pattern_build(benchmark, pipeline):
+    """Mine, score and select the pattern set of the context with the most
+    training papers, with a fresh builder (cold coverage memo).
+
+    One round, so the ``patterns.builder.mined`` / ``kept`` counter deltas
+    in ``BENCH_test_perf_pattern_build.json`` are those of one build.
+    """
+    training_papers = {
+        term_id: [pid for pid in ids if pid in pipeline.corpus]
+        for term_id, ids in pipeline.training_papers.items()
+    }
+    term_id, training = max(
+        training_papers.items(), key=lambda item: (len(item[1]), item[0])
+    )
+    for paper_id in training:
+        pipeline.tokens.all_tokens(paper_id)  # analyse outside the timer
+
+    def fresh_builder():
+        builder = PatternSetBuilder(
+            pipeline.ontology,
+            pipeline.corpus,
+            pipeline.index,
+            token_cache=pipeline.tokens,
+            build_extended=False,
+        )
+        return (builder,), {}
+
+    pattern_set = benchmark.pedantic(
+        lambda builder: builder.build(term_id, training),
+        setup=fresh_builder,
+        rounds=1,
+        iterations=1,
+    )
+    assert len(pattern_set) > 0
 
 
 def test_perf_context_search(benchmark, pipeline, queries):

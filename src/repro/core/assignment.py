@@ -275,9 +275,9 @@ class PatternContextAssigner:
         for middle in pattern_set.middles():
             if not middle:
                 continue
-            candidates = self.pattern_builder.papers_containing_all(middle)
-            if len(candidates) > max_candidates:
+            if self.pattern_builder.middle_paper_count(middle) > max_candidates:
                 continue
+            candidates = self.pattern_builder.papers_containing_all(middle)
             for paper_id in candidates - matched:
                 if len(middle) == 1:
                     matched.add(paper_id)

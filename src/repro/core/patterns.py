@@ -36,8 +36,19 @@ choice preserves the scoring semantics the evaluation relies on.
 from __future__ import annotations
 
 import enum
+import heapq
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict,
+    Iterable,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 from repro.corpus.corpus import Corpus
 from repro.corpus.paper import Section, TEXT_SECTIONS
@@ -48,6 +59,8 @@ from repro.text.analyze import Analyzer, default_analyzer
 from repro.text.phrases import FrequentPhraseMiner
 
 Terms = Tuple[str, ...]
+#: ``(left, middle, right)`` -- the identity of a regular pattern.
+PatternKey = Tuple[Terms, Terms, Terms]
 
 
 class PatternKind(str, enum.Enum):
@@ -66,7 +79,7 @@ class Pattern:
     kind: PatternKind
     score: float
 
-    def key(self) -> Tuple[Terms, Terms, Terms]:
+    def key(self) -> PatternKey:
         return (self.left, self.middle, self.right)
 
 
@@ -234,6 +247,10 @@ class PatternSetBuilder:
         self.build_extended = build_extended
         self._term_word_df: Optional[Dict[str, int]] = None
         self._word_paper_cache: Dict[str, frozenset] = {}
+        # Corpus papers containing each middle, shared by every context.
+        # The builder must not outlive a corpus change (the substrate
+        # drops it on every delta).
+        self._middle_paper_counts: Dict[Terms, int] = {}
         self._miner = FrequentPhraseMiner(
             min_support=min_phrase_support, max_length=max_phrase_length
         )
@@ -255,12 +272,15 @@ class PatternSetBuilder:
         if not raw:
             return PatternSet(term_id=term_id)
 
-        patterns = self._score_regular(
-            term_id, raw, context_words, significant, len(training_tokens)
+        # Every candidate counts as mined; only the kept ones become
+        # Pattern objects.
+        registry.counter("patterns.builder.mined").inc(len(raw))
+        patterns = select_top_patterns(
+            self._score_regular(
+                raw, context_words, significant, len(training_tokens)
+            ),
+            self.max_regular_patterns,
         )
-        registry.counter("patterns.builder.mined").inc(len(patterns))
-        patterns.sort(key=lambda p: (-p.score, p.key()))
-        patterns = patterns[: self.max_regular_patterns]
         if self.build_extended:
             patterns.extend(self._side_joined(patterns))
             patterns.extend(self._middle_joined(patterns))
@@ -307,24 +327,41 @@ class PatternSetBuilder:
         self,
         training_tokens: Sequence[Terms],
         significant: Mapping[Terms, str],
-    ) -> Dict[Tuple[Terms, Terms, Terms], Dict[str, int]]:
+    ) -> Dict[PatternKey, Dict[str, int]]:
         """Occurrences of <left, middle, right> windows around significant terms.
 
         Returns pattern key -> {'occ': total occurrences,
         'papers': distinct training papers containing the pattern}.
         """
-        counts: Dict[Tuple[Terms, Terms, Terms], Dict[str, int]] = {}
+        counts: Dict[PatternKey, Dict[str, int]] = {}
         # Scan longest phrases first so nested phrases both count; an
         # occurrence of "rna polymerase" also contains "rna".
         phrases = sorted(significant, key=len, reverse=True)
-        for doc_index, tokens in enumerate(training_tokens):
-            seen_here: Set[Tuple[Terms, Terms, Terms]] = set()
+        first_words = {phrase[0] for phrase in phrases}
+        window = self.window
+        for tokens in training_tokens:
+            tokens = tuple(tokens)
+            # One pass per paper: ascending positions of every token that
+            # starts a significant phrase.
+            positions: Dict[str, List[int]] = {}
+            for i, token in enumerate(tokens):
+                if token in first_words:
+                    positions.setdefault(token, []).append(i)
+            n_tokens = len(tokens)
+            seen_here: Set[PatternKey] = set()
             for phrase in phrases:
-                for start in find_occurrences(tokens, phrase):
-                    left = tuple(tokens[max(start - self.window, 0) : start])
-                    end = start + len(phrase)
-                    right = tuple(tokens[end : end + self.window])
-                    key = (left, phrase, right)
+                n = len(phrase)
+                for start in positions.get(phrase[0], ()):
+                    end = start + n
+                    if end > n_tokens:
+                        break
+                    if n > 1 and tokens[start:end] != phrase:
+                        continue
+                    key = (
+                        tokens[max(start - window, 0) : start],
+                        phrase,
+                        tokens[end : end + window],
+                    )
                     entry = counts.setdefault(key, {"occ": 0, "papers": 0})
                     entry["occ"] += 1
                     if key not in seen_here:
@@ -336,39 +373,38 @@ class PatternSetBuilder:
 
     def _score_regular(
         self,
-        term_id: str,
-        raw: Mapping[Tuple[Terms, Terms, Terms], Mapping[str, int]],
+        raw: Mapping[PatternKey, Mapping[str, int]],
         context_words: Terms,
         significant: Mapping[Terms, str],
         n_training: int,
-    ) -> List[Pattern]:
+    ) -> Iterator[Tuple[float, PatternKey]]:
+        """``(score, key)`` of every candidate, in ``raw`` order."""
         context_word_set = set(context_words)
         middle_paper_freq = self._middle_training_frequency(raw, n_training)
-        patterns: List[Pattern] = []
-        for (left, middle, right), stats in raw.items():
-            middle_type = self._middle_type_score(middle, context_word_set, significant)
+        # All terms but the occurrence frequency depend on the middle only:
+        # middle -> (MiddleTypeScore + TotalTermScore, PatternPaperFreq,
+        # (1 / PaperCoverage)^t).
+        per_middle: Dict[Terms, Tuple[float, float, float]] = {}
+        for middle, paper_freq in middle_paper_freq.items():
+            middle_type = self._middle_type_score(
+                middle, context_word_set, significant
+            )
             total_term = sum(
                 self._word_selectivity(word)
                 for word in middle
                 if word in context_word_set
             )
-            occ_freq = stats["occ"] / max(n_training, 1)
-            paper_freq = middle_paper_freq[middle]
-            base = middle_type + total_term + self.frequency_coefficient * (
-                occ_freq + paper_freq
-            )
             coverage = self._paper_coverage(middle)
-            score = base * (1.0 / coverage) ** self.coverage_exponent
-            patterns.append(
-                Pattern(
-                    left=left,
-                    middle=middle,
-                    right=right,
-                    kind=PatternKind.REGULAR,
-                    score=score,
-                )
+            per_middle[middle] = (
+                middle_type + total_term,
+                paper_freq,
+                (1.0 / coverage) ** self.coverage_exponent,
             )
-        return patterns
+        for key, stats in raw.items():
+            term_score, paper_freq, coverage_factor = per_middle[key[1]]
+            occ_freq = stats["occ"] / max(n_training, 1)
+            base = term_score + self.frequency_coefficient * (occ_freq + paper_freq)
+            yield base * coverage_factor, key
 
     @staticmethod
     def _middle_type_score(
@@ -406,7 +442,7 @@ class PatternSetBuilder:
 
     def _middle_training_frequency(
         self,
-        raw: Mapping[Tuple[Terms, Terms, Terms], Mapping[str, int]],
+        raw: Mapping[PatternKey, Mapping[str, int]],
         n_training: int,
     ) -> Dict[Terms, float]:
         """Fraction of training papers whose patterns use each middle."""
@@ -427,7 +463,15 @@ class PatternSetBuilder:
         Floors at one paper so the factor stays finite.
         """
         n_papers = max(self.index.n_papers, 1)
-        return max(len(self.papers_containing_all(middle)), 1) / n_papers
+        return max(self.middle_paper_count(middle), 1) / n_papers
+
+    def middle_paper_count(self, middle: Terms) -> int:
+        """``len(papers_containing_all(middle))``, memoised per middle."""
+        count = self._middle_paper_counts.get(middle)
+        if count is None:
+            count = len(self.papers_containing_all(middle))
+            self._middle_paper_counts[middle] = count
+        return count
 
     def papers_containing_all(self, words: Terms) -> frozenset:
         """Corpus papers containing every word of ``words`` (cached lookups)."""
@@ -440,13 +484,10 @@ class PatternSetBuilder:
                 cached = frozenset(self.index.papers_containing(word))
                 self._word_paper_cache[word] = cached
             sets.append(cached)
+        if len(sets) == 1:
+            return sets[0]
         sets.sort(key=len)
-        result = set(sets[0])
-        for other in sets[1:]:
-            result &= other
-            if not result:
-                break
-        return frozenset(result)
+        return sets[0].intersection(*sets[1:])
 
     # -- extended patterns ------------------------------------------------------------
 
@@ -462,7 +503,7 @@ class PatternSetBuilder:
             if pattern.left:
                 by_left.setdefault(pattern.left, []).append(pattern)
         pairs_examined = 0
-        seen: Set[Tuple[Terms, Terms, Terms]] = set()
+        seen: Set[PatternKey] = set()
         for p1 in patterns:
             if not p1.right:
                 continue
@@ -498,7 +539,7 @@ class PatternSetBuilder:
         """
         joined: List[Pattern] = []
         pairs_examined = 0
-        seen: Set[Tuple[Terms, Terms, Terms]] = set()
+        seen: Set[PatternKey] = set()
         for p1 in patterns:
             middle_set = set(p1.middle)
             for p2 in patterns:
@@ -532,6 +573,22 @@ class PatternSetBuilder:
                     )
                 )
         return joined
+
+
+def select_top_patterns(
+    scored: Iterable[Tuple[float, PatternKey]], k: int
+) -> List[Pattern]:
+    """The ``k`` best regular patterns of ``(score, key)`` candidates.
+
+    Best means highest score, then smallest key -- the first ``k`` of
+    ``sorted(scored, key=lambda c: (-c[0], c[1]))``, without sorting or
+    materialising the rest.
+    """
+    best = heapq.nsmallest(k, scored, key=lambda c: (-c[0], c[1]))
+    return [
+        Pattern(left, middle, right, PatternKind.REGULAR, score)
+        for score, (left, middle, right) in best
+    ]
 
 
 #: Section weights for matching strength M(P, pt): a match in the title or
@@ -582,18 +639,19 @@ def match_strength(
 
 
 def score_paper_against_patterns(
-    pattern_set: PatternSet,
+    by_first: Mapping[str, Sequence[Pattern]],
     token_cache: AnalyzedPaperCache,
     paper_id: str,
     middle_only: bool = False,
 ) -> float:
     """Score(P) = sum over matching patterns of Score(pt) * M(P, pt).
 
-    With ``middle_only`` (the simplified variant of section 4), matching
-    strength reduces to the section weight of each middle-tuple hit.
+    ``by_first`` is the context's :meth:`PatternSet.by_first_middle_word`
+    index, built once per context by the caller.  With ``middle_only``
+    (the simplified variant of section 4), matching strength reduces to
+    the section weight of each middle-tuple hit.
     """
     total = 0.0
-    by_first = pattern_set.by_first_middle_word()
     if not by_first:
         return 0.0
     for section in TEXT_SECTIONS:
@@ -604,7 +662,7 @@ def score_paper_against_patterns(
         for i, token in enumerate(tokens):
             for pattern in by_first.get(token, ()):
                 n = len(pattern.middle)
-                if tuple(tokens[i : i + n]) != pattern.middle:
+                if tokens[i : i + n] != pattern.middle:
                     continue
                 if middle_only:
                     total += pattern.score * section_weight

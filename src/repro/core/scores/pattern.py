@@ -68,9 +68,10 @@ class PatternPrestige(PrestigeScoreFunction):
         pattern_set = self.pattern_sets.get(source_term)
         if pattern_set is None or not pattern_set.patterns:
             return {}
+        by_first = pattern_set.by_first_middle_word()
         return {
             paper_id: score_paper_against_patterns(
-                pattern_set, self.tokens, paper_id, middle_only=self.middle_only
+                by_first, self.tokens, paper_id, middle_only=self.middle_only
             )
             for paper_id in context.paper_ids
         }

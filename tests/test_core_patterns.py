@@ -194,24 +194,26 @@ class TestMatching:
         assert title > body
 
     def test_score_paper_positive_for_topical_paper(self, builder, cache):
-        pattern_set = builder.build("met", ["M1", "M2", "M3"])
-        score_topical = score_paper_against_patterns(pattern_set, cache, "M1")
-        score_off = score_paper_against_patterns(pattern_set, cache, "X1")
+        by_first = builder.build("met", ["M1", "M2", "M3"]).by_first_middle_word()
+        score_topical = score_paper_against_patterns(by_first, cache, "M1")
+        score_off = score_paper_against_patterns(by_first, cache, "X1")
         assert score_topical > score_off
         assert score_off == 0.0
 
     def test_middle_only_mode(self, builder, cache):
-        pattern_set = builder.build("met", ["M1", "M2", "M3"])
-        full = score_paper_against_patterns(pattern_set, cache, "M1")
+        by_first = builder.build("met", ["M1", "M2", "M3"]).by_first_middle_word()
+        full = score_paper_against_patterns(by_first, cache, "M1")
         simplified = score_paper_against_patterns(
-            pattern_set, cache, "M1", middle_only=True
+            by_first, cache, "M1", middle_only=True
         )
         assert simplified > 0
         assert full > 0
 
     def test_empty_pattern_set_scores_zero(self, cache):
         empty = PatternSet(term_id="met")
-        assert score_paper_against_patterns(empty, cache, "M1") == 0.0
+        assert score_paper_against_patterns(
+            empty.by_first_middle_word(), cache, "M1"
+        ) == 0.0
 
 
 class TestAnalyzedPaperCache:

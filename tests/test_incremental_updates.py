@@ -122,6 +122,9 @@ class TestDeltaSemantics:
 
     def test_replace_paper_in_one_delta(self, pipeline):
         papers = list(pipeline.corpus)
+        # Warm pattern mining first: its per-middle coverage counts must
+        # not survive the replace (the replacement drops the body).
+        pipeline.prestige("pattern", "pattern")
         replacement = Paper(
             paper_id=papers[0].paper_id,
             title="revised edition " + papers[0].title,
@@ -136,6 +139,29 @@ class TestDeltaSemantics:
         assert pipeline.corpus.paper(papers[0].paper_id).title.startswith(
             "revised edition"
         )
+
+        final = Corpus()
+        for paper in pipeline.corpus:
+            final.add(paper)
+        fresh = Pipeline(
+            corpus=final,
+            ontology=pipeline.ontology,
+            training_papers=pipeline.training_papers,
+        )
+
+        def contexts(p):
+            return [
+                (c.term_id, c.paper_ids, c.inherited_from, c.decay)
+                for c in p.pattern_paper_set
+            ]
+
+        def scores(p):
+            prestige = p.prestige("pattern", "pattern")
+            return {cid: prestige.of(cid) for cid in prestige.context_ids()}
+
+        assert contexts(pipeline) == contexts(fresh)
+        assert contexts(fresh)
+        assert scores(pipeline) == scores(fresh)
 
 
 class TestIndexMutationCapability:

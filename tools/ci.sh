@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Local CI: static lints + the tier-1 test suite.
+# Local CI: static lints, the benchmark harness tests and the tier-1 suite.
 #
 #   tools/ci.sh            run everything
 #
@@ -31,6 +31,10 @@ python tools/check_bench_regression.py
 echo
 echo "== smoke: http search service (start, scrape, search, reload, stop) =="
 python tools/smoke_service.py
+
+echo
+echo "== tests: repository benchmark harness (perfbench/tests) =="
+python3 -m pytest -q perfbench/tests
 
 echo
 echo "== tests: tier-1 suite =="
