@@ -10,14 +10,16 @@ The cross-cutting layer every stage of the pipeline records into:
   lines (``REPRO_LOG_FORMAT=json`` / ``repro ... --log-json``);
 - :mod:`repro.obs.report` -- renders saved dumps (``repro obs report``);
 - :mod:`repro.obs.request` -- request-scoped query telemetry: query ids,
-  head + tail sampling, the rolling SLO event window;
+  head + tail sampling, the rolling event window SLOs and query
+  analytics share;
 - :mod:`repro.obs.slowlog` -- bounded ring of the N slowest queries with
   full span trees (``repro obs slowlog``);
 - :mod:`repro.obs.slo` -- SLO declarations, rolling-window evaluation,
   error budgets (``repro obs slo``);
 - :mod:`repro.obs.prom` -- Prometheus text exposition rendering;
 - :mod:`repro.obs.server` -- stdlib HTTP endpoint publishing
-  ``/metrics``, ``/health``, ``/slo`` (``repro obs serve``).
+  ``/metrics``, ``/health``, ``/slo``, ``/slowlog`` (mounted by
+  ``repro serve``).
 
 Stdlib only, no hard dependencies; disabled-by-default tracing keeps the
 instrumented hot paths at their uninstrumented speed.  Metric and span

@@ -14,8 +14,10 @@ to the bounded slow-query log when it was **head-sampled** (probability
 ``sample_rate``), **slow** (duration >= ``slow_ms``), or **errored** --
 so the tail is never lost to sampling, and the log keeps only the N
 slowest either way.  Each completed request also appends one
-:class:`~repro.obs.slo.QueryEvent` to a bounded rolling window, the
-substrate SLO evaluation and the ``/slo`` endpoint read.
+:class:`~repro.obs.slo.QueryEvent` to a bounded rolling window -- the
+one window of finished requests, which SLO evaluation, the ``/slo``
+endpoint and the ``/analytics`` query analytics all read.  Events carry
+no span trees; only the slow-query log keeps those.
 
 While telemetry is *disabled* (the default) the request context is a
 hair above free: one sentinel check, two monotonic-clock reads, one
@@ -76,7 +78,8 @@ _FALLBACK_LATENCY_METRIC = "search.request.latency"
 #: Queries longer than this are truncated in records (ids stay unique).
 _MAX_QUERY_CHARS = 200
 
-#: Hard cap on the rolling SLO event window (deque maxlen).
+#: Hard cap on the rolling event window (deque maxlen) that SLO
+#: evaluation and query analytics share.
 _MAX_WINDOW_EVENTS = 65536
 
 
@@ -233,7 +236,7 @@ class QueryTelemetry:
         """Register a finish-hook called with every completed QueryRecord.
 
         The hook for stream consumers such as the query-analytics
-        aggregator (:class:`repro.serving.analytics.QueryAnalytics`).
+        counters (:meth:`repro.serving.analytics.QueryAnalytics.observe`).
         Listeners run on the request thread *after* the latency
         observation, only while telemetry is enabled (the disabled fast
         path never builds a record); exceptions are swallowed per
@@ -333,6 +336,9 @@ class QueryTelemetry:
         if record.sampled or record.slow or record.error is not None:
             if self.slowlog.offer(record):
                 registry.counter("telemetry.slowlog.captured").inc()
+        attrs = record.attrs
+        hits = attrs.get("hits")
+        top_score = attrs.get("top_score")
         self._events.append(
             QueryEvent(
                 ts=time.monotonic(),
@@ -342,6 +348,13 @@ class QueryTelemetry:
                 error=record.error is not None,
                 cache_hits=record.cache_hits,
                 cache_lookups=record.cache_lookups,
+                function=str(attrs.get("function", "unknown")),
+                query=record.query,
+                hits=hits if isinstance(hits, int) else None,
+                top_score=(
+                    float(top_score)
+                    if isinstance(top_score, (int, float)) else None
+                ),
             )
         )
         with self._lock:

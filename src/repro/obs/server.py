@@ -1,9 +1,8 @@
 """Stdlib HTTP exposition endpoint: ``/metrics``, ``/health``, ``/slo``.
 
-The observability substrate the search service mounts --
-``repro obs serve --port 9188`` runs it standalone today, and
-:class:`repro.serving.service.SearchService` subclasses it to add the
-query endpoints on the same listener.  Routes:
+The observability substrate the search service mounts:
+:class:`repro.serving.service.SearchService` (``repro serve``)
+subclasses it to add the query endpoints on the same listener.  Routes:
 
 - ``GET /metrics``  -- Prometheus text exposition of the process-wide
   registry (:mod:`repro.obs.prom`);

@@ -50,12 +50,15 @@ SLO_KINDS = ("latency", "error_rate", "cache_hit_rate")
 
 @dataclass(frozen=True)
 class QueryEvent:
-    """One telemetry event: the SLO-relevant residue of a request.
+    """One telemetry event: what the rolling window keeps of a request.
 
     ``duration_s`` is per-query latency; a ``search_many`` batch records
     one event with ``queries`` > 1 and the batch's average per-query
     latency (individual worker timings live in the slow-query log's span
-    trees).  ``ts`` is monotonic-clock seconds.
+    trees).  ``ts`` is monotonic-clock seconds.  ``function``, ``query``,
+    ``hits`` and ``top_score`` feed the query analytics
+    (:class:`repro.serving.analytics.QueryAnalytics`); ``hits`` and
+    ``top_score`` are None when the request did not report them.
     """
 
     ts: float
@@ -65,6 +68,10 @@ class QueryEvent:
     error: bool = False
     cache_hits: int = 0
     cache_lookups: int = 0
+    function: str = "unknown"
+    query: str = ""
+    hits: Optional[int] = None
+    top_score: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -103,7 +110,7 @@ class SLO:
         return f"{self.name}:{self.kind}:{target}:{window}"
 
 
-#: The objectives ``repro obs serve`` tracks when none are declared.
+#: The objectives ``repro serve`` tracks when none are declared.
 DEFAULT_SLOS = (
     SLO("search-latency-p95", "latency", target=0.95, threshold_s=0.5),
     SLO("search-errors", "error_rate", target=0.999),

@@ -325,13 +325,6 @@ class Pipeline:
             }
         return rankings
 
-    def invalidate_serving_caches(self) -> None:
-        """Drop memoised search engines and cached search results.
-
-        Equivalent to :meth:`refresh`; kept as the historical spelling.
-        """
-        self.refresh()
-
     # -- incremental corpus updates ---------------------------------------------------
 
     def add_papers(self, papers: Sequence["Paper"]):
@@ -432,75 +425,6 @@ class Pipeline:
         """The context paper set named by ``paper_set_name``."""
         return self._store.paper_set(paper_set_name)
 
-    # -- backward-compatible private slots ------------------------------------------
-    # Older call sites (and a few tests) reach for the pre-split private
-    # attributes; these map reads to the store's raw slots (no lazy
-    # build) and writes to the store's install methods (revision bump).
-
-    @property
-    def _index(self) -> Optional[SearchBackend]:
-        return self._store._index
-
-    @_index.setter
-    def _index(self, value: Optional[SearchBackend]) -> None:
-        self._store.install_index(value)
-
-    @property
-    def _vectors(self) -> Optional[PaperVectorStore]:
-        return self._store._vectors
-
-    @_vectors.setter
-    def _vectors(self, value: Optional[PaperVectorStore]) -> None:
-        self._store.install_vectors(value)
-
-    @property
-    def _tokens(self) -> Optional[AnalyzedPaperCache]:
-        return self._store._tokens
-
-    @_tokens.setter
-    def _tokens(self, value: Optional[AnalyzedPaperCache]) -> None:
-        self._store.install_tokens(value)
-
-    @property
-    def _graph(self) -> Optional[CitationGraph]:
-        return self._store._graph
-
-    @_graph.setter
-    def _graph(self, value: Optional[CitationGraph]) -> None:
-        self._store.install_citation_graph(value)
-
-    @property
-    def _text_paper_set(self) -> Optional[ContextPaperSet]:
-        return self._store._text_paper_set
-
-    @_text_paper_set.setter
-    def _text_paper_set(self, value: Optional[ContextPaperSet]) -> None:
-        self._store.install_text_paper_set(value)
-
-    @property
-    def _pattern_paper_set(self) -> Optional[ContextPaperSet]:
-        return self._store._pattern_paper_set
-
-    @_pattern_paper_set.setter
-    def _pattern_paper_set(self, value: Optional[ContextPaperSet]) -> None:
-        self._store.install_pattern_paper_set(value)
-
-    @property
-    def _representatives(self) -> Optional[Dict[str, str]]:
-        return self._store._representatives
-
-    @_representatives.setter
-    def _representatives(self, value: Optional[Mapping[str, str]]) -> None:
-        self._store.install_representatives(value)
-
-    @property
-    def _scores(self) -> Dict[str, PrestigeScores]:
-        return self._store.scores
-
-    @property
-    def _result_cache(self) -> SearchResultCache:
-        return self._view().result_cache
-
     # -- precomputed artefacts ------------------------------------------------------
 
     def load_precomputed(self, data_dir) -> int:
@@ -509,9 +433,10 @@ class Pipeline:
         Any ``text_paper_set.json`` / ``pattern_paper_set.json`` /
         ``scores_<function>_<set>.json`` found is installed into the
         substrate store, short-circuiting the expensive builds.  Returns
-        the number of artefacts loaded.  Missing files are fine (you can
-        precompute a subset); corrupt files raise.  For full zero-rebuild
-        hydration of every substrate use :meth:`open_workspace` instead.
+        the number of artefacts loaded.  Missing files are fine (a
+        directory may hold a subset); corrupt files raise.  For full
+        zero-rebuild hydration of every substrate use
+        :meth:`open_workspace` instead.
         """
         from pathlib import Path
 

@@ -4,12 +4,13 @@ Two serving-side consumers of the request-telemetry stream
 (:mod:`repro.obs.request`), both surfaced by the search service's
 ``GET /analytics`` endpoint and the ``repro obs analytics`` CLI:
 
-- :class:`QueryAnalytics` -- a rolling-window aggregator fed from the
-  telemetry finish hook (:meth:`QueryTelemetry.add_listener`): query
-  volume per endpoint kind and score function, zero-result rate, top
-  query terms, result-count and top-score distributions.  Exported as
-  ``search.analytics.*`` metrics (counters at observe time, windowed
-  gauges from the scrape-time collector hook).
+- :class:`QueryAnalytics` -- a rolling-window view over the telemetry
+  event window (:meth:`QueryTelemetry.events`, the window ``/slo``
+  reads too): query volume per endpoint kind and score function,
+  zero-result rate, top query terms, result-count and top-score
+  distributions.  Exported as ``search.analytics.*`` metrics (counters
+  from the telemetry finish hook, windowed gauges from the scrape-time
+  collector hook).
 
 - :class:`ShadowScorer` -- samples a configurable fraction of live
   ``/search`` traffic and re-scores it *off-thread* under one or more
@@ -42,6 +43,8 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 from repro.obs.logs import get_logger
 from repro.obs.metrics import get_registry
 from repro.obs.quality import compare_rankings
+from repro.obs.request import get_telemetry
+from repro.obs.slo import QueryEvent
 
 __all__ = ["QueryAnalytics", "ShadowScorer", "render_analytics"]
 
@@ -71,113 +74,84 @@ def _metric_segment(name: str) -> str:
     return segment
 
 
-class _WindowEntry:
-    __slots__ = ("ts", "kind", "function", "terms", "hits", "top_score")
-
-    def __init__(self, ts, kind, function, terms, hits, top_score):
-        self.ts = ts
-        self.kind = kind
-        self.function = function
-        self.terms = terms
-        self.hits = hits
-        self.top_score = top_score
+#: A batch's record carries a ``[batch of N]`` label, not query text, so
+#: its events contribute no terms.
+_BATCH_KIND = "search_many"
 
 
 class QueryAnalytics:
-    """Rolling-window query analytics over finished telemetry records.
+    """Rolling-window query analytics over the telemetry event window.
 
-    Registered as a telemetry listener (so it only ever sees traffic
-    while telemetry is enabled -- the serve CLI always enables it) and
-    as a scrape-time collector for the windowed gauges.  Thread-safe:
-    the window is a bounded deque behind one small lock.
+    Reads the process-wide telemetry's bounded
+    :class:`~repro.obs.slo.QueryEvent` window -- the same window the SLO
+    evaluation reads, so ``/analytics`` and ``/slo`` always count the
+    same requests -- filtered to the last ``window_s`` seconds.  It only
+    sees traffic while telemetry is enabled (the serve CLI always enables
+    it).  :meth:`observe` is the telemetry finish-hook for the
+    ``search.analytics.*`` counters and histograms; the windowed gauges
+    come from the scrape-time collector :meth:`export_gauges`.
     """
 
-    def __init__(
-        self,
-        window_s: float = 300.0,
-        max_events: int = 8192,
-        top_terms: int = 10,
-    ) -> None:
+    def __init__(self, window_s: float = 300.0, top_terms: int = 10) -> None:
         if window_s <= 0:
             raise ValueError(f"window_s must be positive, got {window_s}")
-        if max_events < 1:
-            raise ValueError(f"max_events must be >= 1, got {max_events}")
         self.window_s = window_s
         self.top_terms = top_terms
-        self._entries: Deque[_WindowEntry] = deque(maxlen=max_events)
-        self._lock = threading.Lock()
 
     # -- ingestion (telemetry listener) ----------------------------------------------
 
     def observe(self, record) -> None:
-        """Telemetry finish-hook: fold one QueryRecord into the window."""
+        """Telemetry finish-hook: count one finished QueryRecord."""
         registry = get_registry()
-        attrs = record.attrs
-        hits = attrs.get("hits")
-        if not isinstance(hits, int):
-            hits = None
-        top_score = attrs.get("top_score")
-        if not isinstance(top_score, (int, float)):
-            top_score = None
-        entry = _WindowEntry(
-            ts=time.monotonic(),
-            kind=record.kind,
-            function=str(attrs.get("function", "unknown")),
-            terms=tuple(_TERM_RE.findall(record.query.lower())),
-            hits=hits,
-            top_score=None if top_score is None else float(top_score),
-        )
-        with self._lock:
-            self._entries.append(entry)
         registry.counter("search.analytics.queries").inc()
-        if hits is not None:
+        hits = record.attrs.get("hits")
+        if isinstance(hits, int):
             registry.histogram("search.analytics.results").observe(hits)
             if hits == 0:
                 registry.counter("search.analytics.zero_results").inc()
-        if entry.top_score is not None:
+        top_score = record.attrs.get("top_score")
+        if isinstance(top_score, (int, float)):
             registry.histogram("search.analytics.top_score").observe(
-                entry.top_score
+                float(top_score)
             )
 
     # -- windowed aggregation --------------------------------------------------------
 
-    def _window(self, now: Optional[float] = None) -> List[_WindowEntry]:
-        if now is None:
-            now = time.monotonic()
+    def _window(self, now: float) -> List[QueryEvent]:
         horizon = now - self.window_s
-        with self._lock:
-            while self._entries and self._entries[0].ts < horizon:
-                self._entries.popleft()
-            return list(self._entries)
+        return [
+            event for event in get_telemetry().events() if event.ts >= horizon
+        ]
 
     def snapshot(self, now: Optional[float] = None) -> Dict[str, Any]:
         """Everything the ``/analytics`` endpoint reports for the window."""
         if now is None:
             now = time.monotonic()
-        entries = self._window(now)
+        events = self._window(now)
         by_kind: Dict[str, int] = {}
         by_function: Dict[str, int] = {}
         terms: TermCounter = TermCounter()
         counted = zero = 0
         result_buckets = {label: 0 for label, _, _ in _RESULT_BUCKETS}
         scores: List[float] = []
-        for entry in entries:
-            by_kind[entry.kind] = by_kind.get(entry.kind, 0) + 1
-            by_function[entry.function] = (
-                by_function.get(entry.function, 0) + 1
+        for event in events:
+            by_kind[event.kind] = by_kind.get(event.kind, 0) + 1
+            by_function[event.function] = (
+                by_function.get(event.function, 0) + 1
             )
-            terms.update(entry.terms)
-            if entry.hits is not None:
+            if event.kind != _BATCH_KIND:
+                terms.update(_TERM_RE.findall(event.query.lower()))
+            if event.hits is not None:
                 counted += 1
-                if entry.hits == 0:
+                if event.hits == 0:
                     zero += 1
                 for label, low, high in _RESULT_BUCKETS:
-                    if low <= entry.hits <= high:
+                    if low <= event.hits <= high:
                         result_buckets[label] += 1
                         break
-            if entry.top_score is not None:
-                scores.append(entry.top_score)
-        span_s = (now - entries[0].ts) if entries else 0.0
+            if event.top_score is not None:
+                scores.append(event.top_score)
+        span_s = (now - events[0].ts) if events else 0.0
         scores.sort()
 
         def _pct(p: float) -> Optional[float]:
@@ -188,9 +162,9 @@ class QueryAnalytics:
 
         return {
             "window_s": self.window_s,
-            "queries": len(entries),
+            "queries": len(events),
             "qps": (
-                round(len(entries) / span_s, 3) if span_s > 0 else None
+                round(len(events) / span_s, 3) if span_s > 0 else None
             ),
             "by_kind": by_kind,
             "by_function": by_function,
@@ -215,19 +189,19 @@ class QueryAnalytics:
 
     def export_gauges(self, now: Optional[float] = None) -> None:
         """Scrape-time collector: windowed volumes as gauges."""
-        entries = self._window(now)
+        events = self._window(time.monotonic() if now is None else now)
         registry = get_registry()
-        registry.gauge("search.analytics.window_queries").set(len(entries))
-        counted = sum(1 for entry in entries if entry.hits is not None)
-        zero = sum(1 for entry in entries if entry.hits == 0)
+        registry.gauge("search.analytics.window_queries").set(len(events))
+        counted = sum(1 for event in events if event.hits is not None)
+        zero = sum(1 for event in events if event.hits == 0)
         if counted:
             registry.gauge("search.analytics.zero_result_rate").set(
                 zero / counted
             )
         by_function: Dict[str, int] = {}
-        for entry in entries:
-            by_function[entry.function] = (
-                by_function.get(entry.function, 0) + 1
+        for event in events:
+            by_function[event.function] = (
+                by_function.get(event.function, 0) + 1
             )
         for function, count in by_function.items():
             registry.gauge(

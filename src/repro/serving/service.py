@@ -350,7 +350,7 @@ class SearchService(ExpositionServer):
 
     def start(self) -> "SearchService":
         super().start()
-        # Feed the analytics window from the telemetry finish hook; the
+        # Feed the analytics counters from the telemetry finish hook; the
         # listener is idempotent to add and detached again on stop.
         get_telemetry().add_listener(self.analytics.observe)
         if self.shadow is not None:

@@ -4,7 +4,8 @@ The store holds the raw inputs (corpus, ontology, training papers) and
 the substrates derived from them -- inverted index, vector store, token
 cache, citation graph, the two context paper sets, representatives, and
 memoised prestige scores.  Substrates build lazily on first access and
-can be *installed* directly (workspace hydration, ``load_precomputed``);
+can be *installed* directly (workspace hydration, ``load_precomputed``)
+and probed without building (:meth:`SubstrateStore.is_built`);
 every installation bumps a monotonically increasing **revision**, which
 the serving layer (:class:`~repro.serving.view.ServingView`) compares
 against to know when its memoised engines and result cache are stale.
@@ -104,7 +105,7 @@ class SubstrateStore:
         self._index: Optional[SearchBackend] = None
         self._vectors: Optional[PaperVectorStore] = None
         self._tokens: Optional[AnalyzedPaperCache] = None
-        self._graph: Optional[CitationGraph] = None
+        self._citation_graph: Optional[CitationGraph] = None
         self._keyword_engine: Optional[KeywordSearchEngine] = None
         self._text_assigner: Optional[TextContextAssigner] = None
         self._pattern_assigner: Optional[PatternContextAssigner] = None
@@ -132,6 +133,14 @@ class SubstrateStore:
         get_registry().gauge("serving.substrate.revision").set(revision)
 
     # -- lazily built substrates ----------------------------------------------------
+
+    def is_built(self, substrate: str) -> bool:
+        """Is the lazily built ``substrate`` (a property name) live already?
+
+        Reads the slot without triggering a build, e.g.
+        ``is_built("citation_graph")``.
+        """
+        return getattr(self, f"_{substrate}") is not None
 
     @property
     def index(self) -> SearchBackend:
@@ -161,11 +170,11 @@ class SubstrateStore:
 
     @property
     def citation_graph(self) -> CitationGraph:
-        if self._graph is None:
+        if self._citation_graph is None:
             with self._build_lock:
-                if self._graph is None:
-                    self._graph = CitationGraph.from_corpus(self.corpus)
-        return self._graph
+                if self._citation_graph is None:
+                    self._citation_graph = CitationGraph.from_corpus(self.corpus)
+        return self._citation_graph
 
     @property
     def keyword_engine(self) -> KeywordSearchEngine:
@@ -390,9 +399,9 @@ class SubstrateStore:
                 if self._vectors is not None:
                     with span("substrate.delta.vectors"):
                         self._vectors.apply_delta(added, removed_papers)
-                if self._graph is not None:
+                if self._citation_graph is not None:
                     with span("substrate.delta.graph"):
-                        self._graph.apply_corpus_delta(
+                        self._citation_graph.apply_corpus_delta(
                             self.corpus, added_ids, removed
                         )
 
@@ -538,7 +547,7 @@ class SubstrateStore:
 
     def install_citation_graph(self, graph: Optional[CitationGraph]) -> None:
         with self._build_lock:
-            self._graph = graph
+            self._citation_graph = graph
         self._bump()
 
     def install_text_paper_set(self, paper_set: Optional[ContextPaperSet]) -> None:

@@ -137,9 +137,8 @@ class TestSearch:
 
 class TestBuild:
     def test_workspace_written(self, data_dir, capsys):
-        # `precompute` is the legacy alias of `build`; both target the
-        # artifact workspace under <data>/workspace.
-        code = main(["precompute", "--data", str(data_dir)])
+        # `build` targets the artifact workspace under <data>/workspace.
+        code = main(["build", "--data", str(data_dir)])
         assert code == 0
         output = capsys.readouterr().out
         from repro.workspace import ARTIFACTS
@@ -255,6 +254,24 @@ class TestServe:
         assert isinstance(payload["hits"], list)
         thread.join(timeout=30)
         assert not thread.is_alive()
+
+    def test_serve_warmup_smoke(self, data_dir, capsys):
+        from repro.obs import get_registry
+
+        code = main([
+            "serve", "--data", str(data_dir),
+            "--port", "0", "--warmup", "3", "--for-seconds", "0",
+        ])
+        output = capsys.readouterr().out
+        assert code == 0
+        assert "warmed up with 3 queries" in output
+        assert "/metrics /health /slo /slowlog on http://" in output
+        # Warmup exercised both request kinds, so a scrape would expose
+        # both latency histograms (routes themselves are covered by
+        # tests/test_obs_server.py).
+        registry = get_registry()
+        assert registry.histogram("search.run.latency").count >= 3
+        assert registry.histogram("search.batch.latency").count == 1
 
 
 class TestEvaluate:
@@ -494,24 +511,6 @@ class TestObsTelemetry:
     def test_obs_slowlog_missing_file_fails(self, tmp_path):
         with pytest.raises(SystemExit, match="not found"):
             main(["obs", "slowlog", "--file", str(tmp_path / "absent.json")])
-
-    def test_obs_serve_smoke(self, data_dir, capsys):
-        from repro.obs import get_registry
-
-        code = main([
-            "obs", "serve", "--data", str(data_dir),
-            "--port", "0", "--warmup", "3", "--for-seconds", "0",
-        ])
-        output = capsys.readouterr().out
-        assert code == 0
-        assert "warmed up with 3 queries" in output
-        assert "serving /metrics /health /slo /slowlog on http://" in output
-        # Warmup exercised both request kinds, so a scrape would expose
-        # both latency histograms (routes themselves are covered by
-        # tests/test_obs_server.py).
-        registry = get_registry()
-        assert registry.histogram("search.run.latency").count >= 3
-        assert registry.histogram("search.batch.latency").count == 1
 
 
 class TestParser:

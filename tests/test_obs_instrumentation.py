@@ -79,8 +79,8 @@ class TestPipelineSearchSpans:
         registry = reset_registry()
         # Force prestige recomputation: drop the scores AND the serving
         # caches (memoised engines hold a reference to the old scores).
-        pipeline._scores.clear()
-        pipeline.invalidate_serving_caches()
+        pipeline.substrates.scores.clear()
+        pipeline.refresh()
         pipeline.search("gene expression", limit=5)
         snapshot = registry.snapshot()
         assert snapshot["histograms"]["scores.text.seconds"]["count"] >= 1

@@ -147,7 +147,7 @@ class TestLoadPrecomputedParsing:
         write_prestige_scores(scores, tmp_path / "scores_citation_xctx_text.json")
         pipeline = Pipeline.from_dataset(small_dataset)
         assert pipeline.load_precomputed(tmp_path) == 1
-        assert "citation_xctx/text" in pipeline._scores
-        restored = pipeline._scores["citation_xctx/text"]
+        assert "citation_xctx/text" in pipeline.substrates.scores
+        restored = pipeline.substrates.scores["citation_xctx/text"]
         assert restored.function_name == "citation_xctx"
         assert restored.score("T:1", "P:1") == pytest.approx(0.5)

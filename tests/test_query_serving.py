@@ -76,7 +76,7 @@ class TestSingleScan:
 
 class TestResultCache:
     def test_miss_then_hit_counters_and_identical_results(self, pipeline):
-        pipeline.invalidate_serving_caches()
+        pipeline.refresh()
         first = pipeline.search(QUERY, limit=5)
         counters = _counters()
         assert counters["search.cache.miss"] == 1
@@ -86,7 +86,7 @@ class TestResultCache:
         assert _counters()["search.cache.hit"] == 1
 
     def test_cache_key_covers_request_shape(self, pipeline):
-        pipeline.invalidate_serving_caches()
+        pipeline.refresh()
         pipeline.search(QUERY, limit=5)
         # A different limit/threshold is a different request: no false hit.
         pipeline.search(QUERY, limit=3)
@@ -158,7 +158,7 @@ class TestResultCache:
         first = pipeline.search(QUERY, limit=5)
         second = pipeline.search(QUERY, limit=5)
         assert second == first
-        assert len(pipeline._result_cache) == 0
+        assert len(pipeline.serving_view.result_cache) == 0
         counters = _counters()
         assert counters.get("search.cache.hit", 0) == 0
         assert counters.get("search.cache.miss", 0) == 0
@@ -170,7 +170,7 @@ class TestResultCache:
     def test_cached_results_identical_across_functions(
         self, pipeline, function, paper_set
     ):
-        pipeline.invalidate_serving_caches()
+        pipeline.refresh()
         uncached = pipeline.search(
             QUERY, function=function, paper_set_name=paper_set, use_cache=False
         )
@@ -196,7 +196,7 @@ class TestEngineMemoisation:
 
     def test_invalidation_discards_engines(self, pipeline):
         before = pipeline.search_engine("text", "text")
-        pipeline.invalidate_serving_caches()
+        pipeline.refresh()
         assert pipeline.search_engine("text", "text") is not before
 
     def test_unknown_strategy_rejected(self, pipeline):
@@ -216,21 +216,21 @@ class TestInvalidation:
         write_prestige_scores(
             pipeline.prestige("text", "text"), tmp_path / "scores_text_text.json"
         )
-        pipeline.invalidate_serving_caches()
+        pipeline.refresh()
         engine = pipeline.search_engine("text", "text")
         pipeline.search(QUERY, limit=5)
-        assert len(pipeline._result_cache) == 1
+        assert len(pipeline.serving_view.result_cache) == 1
         loaded = pipeline.load_precomputed(tmp_path)
         assert loaded == 1
-        assert len(pipeline._result_cache) == 0
+        assert len(pipeline.serving_view.result_cache) == 0
         assert pipeline.search_engine("text", "text") is not engine
 
     def test_load_of_nothing_keeps_caches(self, pipeline, tmp_path):
-        pipeline.invalidate_serving_caches()
+        pipeline.refresh()
         engine = pipeline.search_engine("text", "text")
         pipeline.search(QUERY, limit=5)
         assert pipeline.load_precomputed(tmp_path / "empty") == 0
-        assert len(pipeline._result_cache) == 1
+        assert len(pipeline.serving_view.result_cache) == 1
         assert pipeline.search_engine("text", "text") is engine
 
     def test_open_workspace_clears_serving_caches(self, tmp_path):
@@ -240,7 +240,7 @@ class TestInvalidation:
         pipeline.search(QUERY, limit=5)
         loaded = open_workspace(pipeline, tmp_path / "ws")
         assert loaded > 0
-        assert len(pipeline._result_cache) == 0
+        assert len(pipeline.serving_view.result_cache) == 0
         assert pipeline.search_engine("text", "text") is not engine
 
 
@@ -302,7 +302,7 @@ class TestSearchMany:
         assert engine.search_many([]) == []
 
     def test_pipeline_batch_uses_result_cache(self, pipeline):
-        pipeline.invalidate_serving_caches()
+        pipeline.refresh()
         first = pipeline.search_many(self.QUERIES, limit=10)
         hits_before = _counters().get("search.cache.hit", 0)
         second = pipeline.search_many(self.QUERIES, limit=10)

@@ -2,8 +2,8 @@
 
 Three layers:
 
-- ``QueryAnalytics`` folds finished telemetry records into a rolling
-  window and reports volumes / zero-result rate / term and score
+- ``QueryAnalytics`` reads the telemetry event window (the one the SLOs
+  read) and reports volumes / zero-result rate / term and score
   distributions, both as a JSON snapshot and as scrape-time gauges;
 - ``ShadowScorer`` samples live requests onto a worker thread and
   records rank agreement between the primary ranking and every other
@@ -18,6 +18,7 @@ import pytest
 
 from repro.core.scores import PrestigeScores
 from repro.obs import configure_telemetry, get_registry, get_telemetry
+from repro.obs import request as request_module
 from repro.obs.quality import DriftExceeded
 from repro.pipeline import build_demo_pipeline
 from repro.serving.analytics import QueryAnalytics, ShadowScorer
@@ -25,13 +26,16 @@ from repro.serving.analytics import QueryAnalytics, ShadowScorer
 QUERY = "gene expression regulation"
 
 
-class _Record:
-    """Duck-typed stand-in for a finished telemetry QueryRecord."""
+def _finish(kind="search", query="", **attrs):
+    """Run one request through the live telemetry, reporting ``attrs``."""
+    with get_telemetry().request(kind, query=query) as request:
+        request.set(**attrs)
 
-    def __init__(self, kind="search", query="", **attrs):
-        self.kind = kind
-        self.query = query
-        self.attrs = attrs
+
+@pytest.fixture
+def telemetry():
+    """Enabled telemetry: its event window is the analytics window."""
+    return configure_telemetry(enabled=True, sample_rate=0.0, seed=3)
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +51,7 @@ def fresh_pipeline():
 
 def _invert_text_scores(pipeline, query, top_n=5):
     """Install perturbed text scores that demote the current top hits."""
-    store = pipeline._store
+    store = pipeline.substrates
     engine = pipeline.serving_view.engine("text", "text", "probe")
     top_ids = {hit.paper_id for hit in engine.search(query, limit=top_n)}
     old = store.scores["text/text"]
@@ -62,16 +66,12 @@ def _invert_text_scores(pipeline, query, top_n=5):
 
 
 class TestQueryAnalytics:
-    def test_snapshot_aggregates_the_window(self):
+    def test_snapshot_aggregates_the_window(self, telemetry):
         analytics = QueryAnalytics(window_s=60.0)
-        analytics.observe(
-            _Record("search", "gene expression", hits=7, top_score=0.9,
-                    function="text")
-        )
-        analytics.observe(
-            _Record("search", "gene therapy", hits=0, function="citation")
-        )
-        analytics.observe(_Record("explain", "dna", function="text"))
+        _finish("search", "gene expression", hits=7, top_score=0.9,
+                function="text")
+        _finish("search", "gene therapy", hits=0, function="citation")
+        _finish("explain", "dna", function="text")
         snap = analytics.snapshot()
         assert snap["queries"] == 3
         assert snap["by_kind"] == {"search": 2, "explain": 1}
@@ -85,37 +85,38 @@ class TestQueryAnalytics:
         assert snap["top_score"]["samples"] == 1
         assert snap["top_score"]["max"] == 0.9
 
-    def test_zero_result_rate_none_without_counted_results(self):
+    def test_zero_result_rate_none_without_counted_results(self, telemetry):
         analytics = QueryAnalytics()
-        analytics.observe(_Record("explain", "dna"))
+        _finish("explain", "dna")
         assert analytics.snapshot()["zero_result_rate"] is None
 
-    def test_window_prunes_old_entries(self):
+    def test_window_prunes_old_entries(self, telemetry):
         analytics = QueryAnalytics(window_s=10.0)
-        analytics.observe(_Record("search", "old", hits=1))
-        stale_at = analytics._entries[0].ts + 11.0
+        _finish("search", "old", hits=1)
+        stale_at = telemetry.events()[0].ts + 11.0
         assert analytics.snapshot(now=stale_at)["queries"] == 0
 
-    def test_bounded_event_buffer(self):
-        analytics = QueryAnalytics(max_events=4)
+    def test_bounded_event_buffer(self, monkeypatch):
+        monkeypatch.setattr(request_module, "_MAX_WINDOW_EVENTS", 4)
+        configure_telemetry(enabled=True, sample_rate=0.0, seed=3)
+        analytics = QueryAnalytics()
         for index in range(10):
-            analytics.observe(_Record("search", f"q{index}", hits=1))
+            _finish("search", f"q{index}", hits=1)
         assert analytics.snapshot()["queries"] == 4
 
-    def test_counters_and_histograms_recorded(self):
+    def test_counters_and_histograms_recorded(self, telemetry):
         analytics = QueryAnalytics()
-        analytics.observe(_Record("search", "a", hits=0))
-        analytics.observe(_Record("search", "b", hits=3, top_score=0.5))
+        telemetry.add_listener(analytics.observe)
+        _finish("search", "a", hits=0)
+        _finish("search", "b", hits=3, top_score=0.5)
         counters = get_registry().snapshot()["counters"]
         assert counters["search.analytics.queries"] == 2
         assert counters["search.analytics.zero_results"] == 1
 
-    def test_export_gauges(self):
+    def test_export_gauges(self, telemetry):
         analytics = QueryAnalytics()
-        analytics.observe(_Record("search", "a", hits=0, function="text"))
-        analytics.observe(
-            _Record("search", "b", hits=2, function="Weird Fn!")
-        )
+        _finish("search", "a", hits=0, function="text")
+        _finish("search", "b", hits=2, function="Weird Fn!")
         analytics.export_gauges()
         gauges = get_registry().snapshot()["gauges"]
         assert gauges["search.analytics.window_queries"] == 2
@@ -124,18 +125,51 @@ class TestQueryAnalytics:
         # Function names are sanitised into metric segments.
         assert gauges["search.analytics.weird_fn.queries"] == 1
 
-    def test_zero_result_gauge_absent_without_counted(self):
+    def test_zero_result_gauge_absent_without_counted(self, telemetry):
         analytics = QueryAnalytics()
-        analytics.observe(_Record("explain", "dna"))
+        _finish("explain", "dna")
         analytics.export_gauges()
         gauges = get_registry().snapshot()["gauges"]
         assert "search.analytics.zero_result_rate" not in gauges
 
-    def test_constructor_validation(self):
+    def test_constructor_validation(self, monkeypatch):
         with pytest.raises(ValueError, match="window_s"):
             QueryAnalytics(window_s=0.0)
-        with pytest.raises(ValueError, match="max_events"):
-            QueryAnalytics(max_events=0)
+        # The window's cap is the telemetry window's, not an analytics
+        # option: at a cap of one only the newest request is reported.
+        monkeypatch.setattr(request_module, "_MAX_WINDOW_EVENTS", 1)
+        configure_telemetry(enabled=True, sample_rate=0.0, seed=3)
+        _finish("search", "first", hits=1)
+        _finish("search", "second", hits=1)
+        snap = QueryAnalytics().snapshot()
+        assert snap["queries"] == 1
+        assert snap["top_terms"] == [{"term": "second", "count": 1}]
+
+    def test_analytics_and_slo_count_the_same_window(self, telemetry):
+        """Past the old 8,192-event analytics cap the two still agree."""
+        analytics = QueryAnalytics()
+        telemetry.add_listener(analytics.observe)
+        for _ in range(9000):
+            with telemetry.request("search", query="gene"):
+                pass
+        events = telemetry.events()
+        assert len(events) == 9000
+        assert analytics.snapshot()["queries"] == len(events)
+        (errors,) = [
+            status for status in telemetry.slo_statuses()
+            if status.slo.kind == "error_rate"
+        ]
+        assert errors.total == len(events)
+
+    def test_batch_requests_contribute_no_terms(self, telemetry, pipeline):
+        analytics = QueryAnalytics()
+        telemetry.add_listener(analytics.observe)
+        queries = [QUERY, "dna repair", "cell cycle"]
+        pipeline.search_many(queries, limit=5)
+        pipeline.search_many(queries, limit=5)
+        snap = analytics.snapshot()
+        assert snap["by_kind"] == {"search_many": 2}
+        assert snap["top_terms"] == []
 
 
 class TestTelemetryListener:

@@ -440,7 +440,7 @@ class TestDriftGatedReload:
     def _invert_text_scores(target, query):
         from repro.core.scores import PrestigeScores
 
-        store = target._store
+        store = target.substrates
         engine = target.serving_view.engine("text", "text", "probe")
         top_ids = {hit.paper_id for hit in engine.search(query, limit=5)}
         old = store.scores["text/text"]

@@ -5,10 +5,10 @@ The registry in ``src/repro/index/backends/`` is the single source of
 truth for index storage engines.  This lint (modeled on
 ``check_score_registry.py``) fails CI when any derived surface drifts:
 
-1. the CLI ``--index-backend`` choice lists (``repro search`` /
-   ``repro build`` / ``repro precompute`` / ``repro workspace status``)
-   must equal the registered names, with the registry default as the
-   argparse default;
+1. the CLI ``--index-backend`` choice lists must equal the registered
+   names, with the registry default as the argparse default; at least
+   ``repro search`` / ``build`` / ``serve`` / ``ingest-delta`` /
+   ``workspace status`` must expose the flag;
 2. every spec must carry a callable ``build``/``save``/``load`` and a
    unique ``format_tag`` (the workspace load path dispatches on it),
    and the workspace ``index`` artifact must declare ``index_backend``
@@ -36,8 +36,10 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 DOCS_PATH = "docs/architecture.md"
 #: The index package itself is where the concrete classes belong.
 EXEMPT_PREFIX = "src/repro/index/"
-#: Subcommands required to expose --index-backend.
-REQUIRED_SUBCOMMANDS = {"search", "build", "precompute"}
+#: Subcommands (nested ones space-joined) required to expose --index-backend.
+REQUIRED_SUBCOMMANDS = {
+    "search", "build", "serve", "ingest-delta", "workspace status",
+}
 
 
 def check_cli_choices(backends) -> list:
@@ -61,7 +63,7 @@ def check_cli_choices(backends) -> list:
                 continue
             if "--index-backend" not in action.option_strings:
                 continue
-            seen.add(subcommand.split()[0])
+            seen.add(subcommand)
             if tuple(action.choices or ()) != names:
                 problems.append(
                     f"cli: `{subcommand} --index-backend` choices "

@@ -15,7 +15,9 @@ once over real HTTP:
 6. ``GET /analytics``     -- must report the live zero-result rate and
    shadow rank agreement for the non-primary ``citation`` function
    (the service runs with ``shadow_functions=["citation"]`` at a 100%
-   sample rate so the scrape is deterministic);
+   sample rate so the scrape is deterministic), and its ``queries``
+   must equal the ``error_rate`` SLO's ``total`` on ``GET /slo`` --
+   both read the one telemetry request window;
 7. ``POST /admin/reload`` -- must swap the serving view (revision
    bumps); with drift probes armed, an identical-substrate reload must
    report zero drift, an injected ranking regression must be refused
@@ -82,7 +84,7 @@ def main() -> int:
     ).generate(seed=7)
     pipeline = Pipeline.from_dataset(dataset, min_context_size=5)
 
-    # Analytics listens to finished telemetry records, so the smoke runs
+    # Analytics reads the telemetry request window, so the smoke runs
     # with telemetry on (the serve CLI does the same); 100% shadow
     # sampling makes the /analytics scrape deterministic.
     configure_telemetry(enabled=True, sample_rate=0.0, seed=7)
@@ -156,6 +158,14 @@ def main() -> int:
             f"agreement over {citation.get('samples')} samples",
         )
 
+        status, slo = _fetch(base_url, "/slo")
+        (errors,) = [s for s in slo["slo"] if s["kind"] == "error_rate"]
+        _check(
+            status == 200 and errors["total"] == window.get("queries"),
+            f"/slo error_rate total ({errors['total']}) equals /analytics "
+            f"queries ({window.get('queries')}): one request window",
+        )
+
         view_before = pipeline.serving_view
         status, body = _fetch(base_url, "/admin/reload", method="POST")
         _check(
@@ -178,7 +188,7 @@ def main() -> int:
 
         # Invert the text prestige ordering: the current top-5 for the
         # probe query collapse to ~0 while everything else jumps ahead.
-        store = pipeline._store
+        store = pipeline.substrates
         engine = pipeline.serving_view.engine("text", "text", "probe")
         top_ids = {h.paper_id for h in engine.search(QUERY, limit=5)}
         old_scores = store.scores["text/text"]
