@@ -23,14 +23,18 @@ Subcommands mirror a deployment's life cycle:
 - ``repro obs slo``   -- render the SLO/error-budget report of a dump;
 - ``repro obs analytics`` -- render a service's ``/analytics`` payload.
 
-Every subcommand additionally accepts the observability flags
-``--trace-out PATH`` (write the run's span tree as JSON lines),
+All subcommands except ``serve`` and ``obs *`` accept the observability
+flags ``--trace-out PATH`` (write the run's span tree as JSON lines),
 ``--metrics-out PATH`` (write the metrics-registry snapshot as JSON),
 ``--telemetry-out PATH`` (enable request-scoped query telemetry and
 write its slow-query log + SLO report as JSON; tune with
 ``--sample-rate``/``--slow-ms``/``--slo``), and ``--log-json``
 (structured JSON-lines logging; equivalent to
-``REPRO_LOG_FORMAT=json``).  See ``docs/observability.md``.
+``REPRO_LOG_FORMAT=json``).  ``workspace`` takes them before its nested
+``status``.  ``serve`` always records telemetry and takes only
+``--sample-rate``/``--slow-ms``/``--slo``; set ``REPRO_LOG_FORMAT=json``
+for its structured logs.  ``obs *`` takes none.  See
+``docs/observability.md``.
 
 Example::
 
@@ -78,9 +82,16 @@ ONTOLOGY_FILE = "ontology.obo"
 TRAINING_FILE = "training.json"
 
 
-def _cmd_generate(args: argparse.Namespace) -> int:
-    out = Path(args.out)
+def _write_data_dir(out: Path, corpus, ontology, training) -> None:
+    """Write the three files :meth:`Pipeline.from_directory` reads."""
     out.mkdir(parents=True, exist_ok=True)
+    write_corpus_jsonl(corpus, out / CORPUS_FILE)
+    write_obo(ontology, out / ONTOLOGY_FILE)
+    with open(out / TRAINING_FILE, "w", encoding="utf-8") as handle:
+        json.dump(training, handle)
+
+
+def _cmd_generate(args: argparse.Namespace) -> int:
     if args.preset:
         from repro.datagen.presets import get_preset
 
@@ -93,10 +104,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
             ),
         )
     dataset = generator.generate(seed=args.seed)
-    write_corpus_jsonl(dataset.corpus, out / CORPUS_FILE)
-    write_obo(dataset.ontology, out / ONTOLOGY_FILE)
-    with open(out / TRAINING_FILE, "w", encoding="utf-8") as handle:
-        json.dump(dataset.training_papers, handle)
+    out = Path(args.out)
+    _write_data_dir(out, dataset.corpus, dataset.ontology, dataset.training_papers)
     print(
         f"wrote {len(dataset.corpus)} papers, {len(dataset.ontology)} terms, "
         f"training map -> {out}/"
@@ -174,16 +183,17 @@ def _cmd_search(args: argparse.Namespace) -> int:
         result_cache_size=0 if args.no_result_cache else 256,
         index_backend=args.index_backend,
     )
+    options = dict(
+        function=args.function,
+        paper_set_name=args.paper_set,
+        limit=args.limit,
+        threshold=args.threshold,
+        selection_strategy=args.selection_strategy,
+    )
     if args.queries_file is not None:
         queries = _read_queries_file(args.queries_file)
         batches = pipeline.search_many(
-            queries,
-            function=args.function,
-            paper_set_name=args.paper_set,
-            limit=args.limit,
-            threshold=args.threshold,
-            selection_strategy=args.selection_strategy,
-            max_workers=args.workers,
+            queries, max_workers=args.workers, **options
         )
         answered = 0
         for query, hits in zip(queries, batches):
@@ -194,14 +204,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 answered += 1
                 _print_hits(pipeline, query, hits)
         return 0 if answered else 1
-    hits = pipeline.search(
-        args.query,
-        function=args.function,
-        paper_set_name=args.paper_set,
-        limit=args.limit,
-        threshold=args.threshold,
-        selection_strategy=args.selection_strategy,
-    )
+    hits = pipeline.search(args.query, **options)
     if not hits:
         print("no results")
         return 1
@@ -211,22 +214,15 @@ def _cmd_search(args: argparse.Namespace) -> int:
 
 def _cmd_evaluate(args: argparse.Namespace) -> int:
     pipeline = _load_pipeline(args.data, use_workspace=not args.no_workspace)
+    queries = _require_queries(pipeline, args.queries)
     if args.report:
         from repro.eval.report import generate_report
 
-        queries = _derive_queries(pipeline, args.queries)
-        if not queries:
-            print("error: could not derive queries", file=sys.stderr)
-            return 1
         text = generate_report(pipeline, queries)
         with open(args.report, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
         print(f"report written to {args.report}")
         return 0
-    queries = _derive_queries(pipeline, args.queries)
-    if not queries:
-        print("error: could not derive queries from the ontology", file=sys.stderr)
-        return 1
     experiment = PrecisionExperiment(
         pipeline, queries, thresholds=(0.1, 0.2, 0.3, 0.4, 0.5)
     )
@@ -254,10 +250,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     from repro.core.tuning import RelevancyTuner
 
     pipeline = _load_pipeline(args.data, use_workspace=not args.no_workspace)
-    queries = _derive_queries(pipeline, args.queries)
-    if not queries:
-        print("error: could not derive queries", file=sys.stderr)
-        return 1
+    queries = _require_queries(pipeline, args.queries)
     tuner = RelevancyTuner(
         pipeline, queries, function=args.function, paper_set_name=args.paper_set
     )
@@ -276,8 +269,6 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     from repro.ingest.medline import read_medline_xml
     from repro.ontology.obo import read_obo
 
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     corpus = read_medline_xml(args.medline)
     ontology = read_obo(args.obo)
     training = read_gaf_training_map(
@@ -288,10 +279,8 @@ def _cmd_ingest(args: argparse.Namespace) -> int:
     # Drop training entries for terms missing from the ontology so the
     # pipeline never trips over an unknown context.
     training = {tid: pids for tid, pids in training.items() if tid in ontology}
-    write_corpus_jsonl(corpus, out / CORPUS_FILE)
-    write_obo(ontology, out / ONTOLOGY_FILE)
-    with open(out / TRAINING_FILE, "w", encoding="utf-8") as handle:
-        json.dump(training, handle)
+    out = Path(args.out)
+    _write_data_dir(out, corpus, ontology, training)
     n_evidence = sum(len(p) for p in training.values())
     print(
         f"ingested {len(corpus)} papers, {len(ontology)} terms, "
@@ -330,6 +319,13 @@ def _derive_queries(pipeline: Pipeline, n_queries: int) -> List[str]:
                 queries.append(" ".join(words[:3]))
         if len(queries) >= n_queries:
             break
+    return queries
+
+
+def _require_queries(pipeline: Pipeline, n_queries: int) -> List[str]:
+    queries = _derive_queries(pipeline, n_queries)
+    if not queries:
+        raise SystemExit("error: could not derive queries from the ontology")
     return queries
 
 
@@ -382,13 +378,14 @@ def _cmd_workspace_status(args: argparse.Namespace) -> int:
     pipeline = _load_pipeline(
         args.data, use_workspace=False, index_backend=args.index_backend
     )
-    statuses = workspace_status(pipeline, _workspace_dir(args.data))
+    workspace = _workspace_dir(args.data)
+    statuses = workspace_status(pipeline, workspace)
     stale = 0
-    print(f"workspace: {_workspace_dir(args.data)}")
-    stored = index_backends.sniff_backend(_workspace_dir(args.data) / "index.json")
+    print(f"workspace: {workspace}")
+    stored = index_backends.sniff_backend(workspace / "index.json")
     on_disk = f" (on disk: {stored})" if stored else ""
     print(f"index backend: {pipeline.index_backend}{on_disk}")
-    for line in _format_generation_lineage(_workspace_dir(args.data)):
+    for line in _format_generation_lineage(workspace):
         print(line)
     for status in statuses:
         note = f"  ({status.reason})" if status.reason else ""
@@ -409,15 +406,13 @@ def _cmd_ingest_delta(args: argparse.Namespace) -> int:
     from repro.workspace import StaleWorkspaceError, ingest_delta
 
     if not args.add and not args.remove:
-        print("error: pass --add and/or --remove", file=sys.stderr)
-        return 1
+        raise SystemExit("error: pass --add and/or --remove")
     added = []
     if args.add:
         try:
             added = list(read_corpus_jsonl(args.add))
         except (OSError, ValueError, CorpusError) as error:
-            print(f"error: cannot read {args.add}: {error}", file=sys.stderr)
-            return 1
+            raise SystemExit(f"error: cannot read {args.add}: {error}") from error
     pipeline = _load_pipeline(
         args.data, use_workspace=True, index_backend=args.index_backend
     )
@@ -427,8 +422,7 @@ def _cmd_ingest_delta(args: argparse.Namespace) -> int:
             pipeline, workspace, added_papers=added, removed_ids=args.remove or []
         )
     except (CorpusError, StaleWorkspaceError) as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+        raise SystemExit(f"error: {error}") from error
     if build_report is None:
         print("delta is a no-op; workspace unchanged")
         return 0
@@ -454,12 +448,10 @@ def _cmd_ingest_delta(args: argparse.Namespace) -> int:
 def _cmd_obs_report(args: argparse.Namespace) -> int:
     """Render previously saved trace/metrics dumps as human-readable text."""
     if not args.trace and not args.metrics:
-        print("error: pass --trace and/or --metrics", file=sys.stderr)
-        return 1
+        raise SystemExit("error: pass --trace and/or --metrics")
     for path in (args.trace, args.metrics):
         if path and not Path(path).exists():
-            print(f"error: {path} not found", file=sys.stderr)
-            return 1
+            raise SystemExit(f"error: {path} not found")
     print(render_report(trace_path=args.trace, metrics_path=args.metrics))
     return 0
 
@@ -479,28 +471,31 @@ def _load_telemetry_dump(path: str) -> dict:
     return data
 
 
+def _print_formatted(output_format: str, payload: dict, render) -> int:
+    """``--format json`` prints ``payload``; ``table`` prints ``render()``."""
+    if output_format == "json":
+        print(json.dumps(payload, indent=2, sort_keys=True))
+    else:
+        print(render())
+    return 0
+
+
 def _cmd_obs_slowlog(args: argparse.Namespace) -> int:
     """Render the slow-query log of a telemetry dump (slowest first)."""
-    data = _load_telemetry_dump(args.file)
-    entries = data.get("slowlog", [])
-    if args.format == "json":
-        if args.limit:
-            entries = entries[:args.limit]
-        print(json.dumps({"slowlog": entries}, indent=2, sort_keys=True))
-        return 0
-    print(render_slowlog(entries, limit=args.limit))
-    return 0
+    entries = _load_telemetry_dump(args.file).get("slowlog", [])
+    return _print_formatted(
+        args.format,
+        {"slowlog": entries[:args.limit] if args.limit else entries},
+        lambda: render_slowlog(entries, limit=args.limit),
+    )
 
 
 def _cmd_obs_slo(args: argparse.Namespace) -> int:
     """Render the SLO / error-budget report of a telemetry dump."""
-    data = _load_telemetry_dump(args.file)
-    statuses = data.get("slo", [])
-    if args.format == "json":
-        print(json.dumps({"slo": statuses}, indent=2, sort_keys=True))
-        return 0
-    print(format_slo_report(statuses))
-    return 0
+    statuses = _load_telemetry_dump(args.file).get("slo", [])
+    return _print_formatted(
+        args.format, {"slo": statuses}, lambda: format_slo_report(statuses)
+    )
 
 
 def _cmd_obs_analytics(args: argparse.Namespace) -> int:
@@ -508,8 +503,7 @@ def _cmd_obs_analytics(args: argparse.Namespace) -> int:
     from repro.serving.analytics import render_analytics
 
     if bool(args.url) == bool(args.file):
-        print("error: pass exactly one of --url or --file", file=sys.stderr)
-        return 1
+        raise SystemExit("error: pass exactly one of --url or --file")
     if args.url:
         import urllib.error
         import urllib.request
@@ -519,33 +513,34 @@ def _cmd_obs_analytics(args: argparse.Namespace) -> int:
             with urllib.request.urlopen(url, timeout=30) as response:
                 raw = response.read()
         except (urllib.error.URLError, OSError) as error:
-            print(f"error: cannot fetch {url}: {error}", file=sys.stderr)
-            return 1
+            raise SystemExit(f"error: cannot fetch {url}: {error}") from error
         try:
             payload = json.loads(raw)
         except json.JSONDecodeError as error:
-            print(
-                f"error: {url} did not answer JSON ({error})",
-                file=sys.stderr,
-            )
-            return 1
+            raise SystemExit(
+                f"error: {url} did not answer JSON ({error})"
+            ) from error
     else:
         payload = _load_telemetry_dump(args.file)
-    if args.format == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    print(render_analytics(payload))
-    return 0
+    return _print_formatted(
+        args.format, payload, lambda: render_analytics(payload)
+    )
 
 
-def _parse_slo_args(specs) -> list:
+def _configure_telemetry(args: argparse.Namespace):
+    """Enable query telemetry from the ``--sample-rate/--slow-ms/--slo`` flags."""
     slos = []
-    for spec in specs or ():
+    for spec in args.slo or ():
         try:
             slos.append(parse_slo(spec))
         except ValueError as error:
             raise SystemExit(f"error: {error}") from error
-    return slos
+    return configure_telemetry(
+        enabled=True,
+        sample_rate=args.sample_rate,
+        slow_ms=args.slow_ms,
+        slos=slos or None,
+    )
 
 
 def _split_function_args(specs) -> tuple:
@@ -564,12 +559,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.serving.service import SearchService
 
-    configure_telemetry(
-        enabled=True,
-        sample_rate=args.sample_rate,
-        slow_ms=args.slow_ms,
-        slos=_parse_slo_args(args.slo) or None,
-    )
+    _configure_telemetry(args)
     pipeline = _load_pipeline(
         args.data,
         use_workspace=not args.no_workspace,
@@ -587,14 +577,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             pipeline.search_many(queries, max_workers=args.workers)
             print(f"warmed up with {len(queries)} queries")
     if args.probe_queries:
-        try:
-            probes = _read_queries_file(args.probe_queries)
-        except OSError as error:
-            print(
-                f"error: cannot read {args.probe_queries}: {error}",
-                file=sys.stderr,
-            )
-            return 1
+        probes = _read_queries_file(args.probe_queries)
         try:
             pipeline.configure_drift(
                 probes,
@@ -603,8 +586,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 max_drift=args.max_drift,
             )
         except ValueError as error:
-            print(f"error: {error}", file=sys.stderr)
-            return 1
+            raise SystemExit(f"error: {error}") from error
         gate = (
             f"max_drift={args.max_drift:g}" if args.max_drift is not None
             else "report-only"
@@ -613,11 +595,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             f"drift detection armed: {len(probes)} probe queries ({gate})"
         )
     elif args.max_drift is not None:
-        print(
-            "error: --max-drift needs --probe-queries to probe with",
-            file=sys.stderr,
-        )
-        return 1
+        raise SystemExit("error: --max-drift needs --probe-queries to probe with")
     try:
         service = SearchService(
             pipeline,
@@ -632,12 +610,11 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             ready_max_age_s=args.ready_max_age_s,
         ).start()
     except OSError as error:
-        print(f"error: cannot bind {args.host}:{args.port}: {error}",
-              file=sys.stderr)
-        return 1
+        raise SystemExit(
+            f"error: cannot bind {args.host}:{args.port}: {error}"
+        ) from error
     except ValueError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
+        raise SystemExit(f"error: {error}") from error
     if service.shadow is not None:
         print(
             f"shadow scoring {', '.join(service.shadow.functions)} at "
@@ -668,35 +645,40 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro",
         description="Context-based literature search (ICDE 2007 reproduction)",
     )
-    # Observability flags shared by every subcommand (argparse "parents"
-    # idiom keeps them out of each subparser's own declaration).
-    obs_common = argparse.ArgumentParser(add_help=False)
-    obs_group = obs_common.add_argument_group("observability")
-    obs_group.add_argument(
+    # Every flag shared by several subcommands is declared once, on an
+    # argparse "parents" parser, and each subcommand lists the parents it
+    # takes.  Observability splits in two: the dump flags (every
+    # subcommand but ``serve`` and ``obs``) and the telemetry tuning
+    # flags (those same subcommands plus ``serve``).
+    dump_flags = argparse.ArgumentParser(add_help=False)
+    dump_group = dump_flags.add_argument_group("observability")
+    dump_group.add_argument(
         "--trace-out",
         default=None,
         metavar="PATH",
         help="write the run's span tree as JSON lines to PATH",
     )
-    obs_group.add_argument(
+    dump_group.add_argument(
         "--metrics-out",
         default=None,
         metavar="PATH",
         help="write the metrics-registry snapshot as JSON to PATH",
     )
-    obs_group.add_argument(
+    dump_group.add_argument(
         "--log-json",
         action="store_true",
         help="emit structured JSON-lines logs instead of plain text",
     )
-    obs_group.add_argument(
+    dump_group.add_argument(
         "--telemetry-out",
         default=None,
         metavar="PATH",
         help="enable request-scoped query telemetry and write its "
         "slow-query log + SLO report as JSON to PATH",
     )
-    obs_group.add_argument(
+    telemetry_flags = argparse.ArgumentParser(add_help=False)
+    telemetry_group = telemetry_flags.add_argument_group("observability")
+    telemetry_group.add_argument(
         "--sample-rate",
         type=float,
         default=0.05,
@@ -704,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="head-sampling rate for query telemetry in [0, 1] "
         "(default: %(default)s; slow or failed queries are always captured)",
     )
-    obs_group.add_argument(
+    telemetry_group.add_argument(
         "--slow-ms",
         type=float,
         default=100.0,
@@ -712,25 +694,68 @@ def build_parser() -> argparse.ArgumentParser:
         help="queries at or above this duration count as slow "
         "(default: %(default)s)",
     )
-    obs_group.add_argument(
+    telemetry_group.add_argument(
         "--slo",
         action="append",
         metavar="SPEC",
         help="declare an SLO, e.g. 'search-p95:latency:250ms:95%%:300s' "
         "(repeatable; default objectives otherwise)",
     )
-    # Shared by the commands that *read* a data directory: skip the
-    # workspace and rebuild everything in memory (debugging aid).
+    obs_common = [dump_flags, telemetry_flags]
+
     data_common = argparse.ArgumentParser(add_help=False)
-    data_common.add_argument(
+    data_common.add_argument("--data", default="data")
+    # For the commands that *read* a data directory: skip the workspace
+    # and rebuild everything in memory (debugging aid).
+    no_workspace = argparse.ArgumentParser(add_help=False)
+    no_workspace.add_argument(
         "--no-workspace",
         action="store_true",
         help="ignore any built workspace; rebuild artifacts in memory",
     )
+    # Choices derive from the index-backend registry, so a backend
+    # registered by a plugin is usable with no CLI edits.
+    index_backend = argparse.ArgumentParser(add_help=False)
+    index_backend.add_argument(
+        "--index-backend",
+        choices=index_backends.backend_names(),
+        default=index_backends.DEFAULT_BACKEND,
+        help="registered index backend used to build/open the inverted "
+        "index (see repro.index.backends)",
+    )
+    result_cache = argparse.ArgumentParser(add_help=False)
+    result_cache.add_argument(
+        "--no-result-cache",
+        action="store_true",
+        help="disable the serving-side LRU result cache (every query "
+        "evaluates fresh)",
+    )
+    # Both choice lists derive from the scoring registry, so a function
+    # registered by a plugin is searchable with no CLI edits.
+    scoring_choice = argparse.ArgumentParser(add_help=False)
+    scoring_choice.add_argument(
+        "--function", choices=scoring.function_names(), default="text"
+    )
+    scoring_choice.add_argument(
+        "--paper-set", choices=scoring.PAPER_SET_NAMES, default="text"
+    )
+    output_format = argparse.ArgumentParser(add_help=False)
+    output_format.add_argument(
+        "--format", choices=("table", "json"), default="table",
+        help="output format (default: %(default)s)",
+    )
+    telemetry_dump = argparse.ArgumentParser(add_help=False)
+    telemetry_dump.add_argument(
+        "--file",
+        default="telemetry.json",
+        metavar="PATH",
+        help="telemetry dump written by --telemetry-out "
+        "(default: %(default)s)",
+    )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
     generate = subparsers.add_parser(
-        "generate", help="synthesise a dataset", parents=[obs_common]
+        "generate", help="synthesise a dataset", parents=obs_common
     )
     generate.add_argument("--papers", type=int, default=1200)
     generate.add_argument("--terms", type=int, default=250)
@@ -746,23 +771,19 @@ def build_parser() -> argparse.ArgumentParser:
     generate.set_defaults(func=_cmd_generate)
 
     search = subparsers.add_parser(
-        "search", help="context-based search", parents=[obs_common, data_common]
+        "search",
+        help="context-based search",
+        parents=[
+            *obs_common, data_common, no_workspace, scoring_choice,
+            index_backend, result_cache,
+        ],
     )
-    search.add_argument("--data", default="data")
     query_source = search.add_mutually_exclusive_group(required=True)
     query_source.add_argument("--query")
     query_source.add_argument(
         "--queries-file",
         help="file with one query per line (blank lines and # comments skipped); "
         "queries run as a concurrent batch",
-    )
-    # Both choice lists derive from the scoring registry, so a function
-    # registered by a plugin is searchable with no CLI edits.
-    search.add_argument(
-        "--function", choices=scoring.function_names(), default="text"
-    )
-    search.add_argument(
-        "--paper-set", choices=scoring.PAPER_SET_NAMES, default="text"
     )
     search.add_argument(
         "--selection-strategy",
@@ -776,30 +797,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     search.add_argument("--limit", type=int, default=10)
     search.add_argument("--threshold", type=float, default=0.0)
-    # Like --function, choices derive from a registry (the index-backend
-    # one), so a backend registered by a plugin is usable with no CLI edits.
-    search.add_argument(
-        "--index-backend",
-        choices=index_backends.backend_names(),
-        default=index_backends.DEFAULT_BACKEND,
-        help="registered index backend used to build/open the inverted "
-        "index (see repro.index.backends)",
-    )
-    search.add_argument(
-        "--no-result-cache",
-        action="store_true",
-        help="disable the serving-side LRU result cache (every query "
-        "evaluates fresh)",
-    )
     search.set_defaults(func=_cmd_search)
 
     serve = subparsers.add_parser(
         "serve",
         help="HTTP search service: /search /search_grouped /explain "
         "/admin/reload + the obs routes",
-        parents=[data_common],
+        parents=[
+            telemetry_flags, data_common, no_workspace, index_backend,
+            result_cache,
+        ],
     )
-    serve.add_argument("--data", default="data")
     serve.add_argument("--host", default="127.0.0.1")
     serve.add_argument(
         "--port", type=int, default=8977, help="0 binds an ephemeral port"
@@ -816,31 +824,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--retry-after-s", type=float, default=1.0, metavar="S",
         help="Retry-After hint sent with 429 responses (default: %(default)s)",
-    )
-    serve.add_argument(
-        "--index-backend",
-        choices=index_backends.backend_names(),
-        default=index_backends.DEFAULT_BACKEND,
-        help="registered index backend used to build/open the inverted "
-        "index (see repro.index.backends)",
-    )
-    serve.add_argument(
-        "--no-result-cache",
-        action="store_true",
-        help="disable the serving-side LRU result cache",
-    )
-    serve.add_argument(
-        "--sample-rate", type=float, default=0.05, metavar="FRACTION",
-        help="head-sampling rate for query telemetry (default: %(default)s)",
-    )
-    serve.add_argument(
-        "--slow-ms", type=float, default=100.0, metavar="MS",
-        help="slow-query threshold (default: %(default)s)",
-    )
-    serve.add_argument(
-        "--slo", action="append", metavar="SPEC",
-        help="declare an SLO, e.g. 'search-p95:latency:250ms:95%%:300s' "
-        "(repeatable; default objectives otherwise)",
     )
     serve.add_argument(
         "--warmup", type=int, default=0, metavar="N",
@@ -898,9 +881,10 @@ def build_parser() -> argparse.ArgumentParser:
     serve.set_defaults(func=_cmd_serve)
 
     evaluate = subparsers.add_parser(
-        "evaluate", help="run the evaluation", parents=[obs_common, data_common]
+        "evaluate",
+        help="run the evaluation",
+        parents=[*obs_common, data_common, no_workspace],
     )
-    evaluate.add_argument("--data", default="data")
     evaluate.add_argument("--queries", type=int, default=30)
     evaluate.add_argument(
         "--report",
@@ -912,9 +896,8 @@ def build_parser() -> argparse.ArgumentParser:
     build = subparsers.add_parser(
         "build",
         help="incrementally build the artifact workspace",
-        parents=[obs_common],
+        parents=[*obs_common, data_common, index_backend],
     )
-    build.add_argument("--data", default="data")
     build.add_argument(
         "--only",
         action="append",
@@ -926,38 +909,23 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="rebuild the requested artifacts even if fresh",
     )
-    build.add_argument(
-        "--index-backend",
-        choices=index_backends.backend_names(),
-        default=index_backends.DEFAULT_BACKEND,
-        help="registered index backend used to build/open the inverted "
-        "index (see repro.index.backends)",
-    )
     build.set_defaults(func=_cmd_build)
 
     workspace = subparsers.add_parser(
-        "workspace", help="workspace utilities", parents=[obs_common]
+        "workspace", help="workspace utilities", parents=obs_common
     )
     workspace_sub = workspace.add_subparsers(dest="workspace_command", required=True)
-    ws_status = workspace_sub.add_parser(
-        "status", help="per-artifact freshness of a workspace"
-    )
-    ws_status.add_argument("--data", default="data")
-    ws_status.add_argument(
-        "--index-backend",
-        choices=index_backends.backend_names(),
-        default=index_backends.DEFAULT_BACKEND,
-        help="registered index backend used to build/open the inverted "
-        "index (see repro.index.backends)",
-    )
-    ws_status.set_defaults(func=_cmd_workspace_status)
+    workspace_sub.add_parser(
+        "status",
+        help="per-artifact freshness of a workspace",
+        parents=[data_common, index_backend],
+    ).set_defaults(func=_cmd_workspace_status)
 
     ingest_delta = subparsers.add_parser(
         "ingest-delta",
         help="apply a corpus delta to a built workspace as a new generation",
-        parents=[obs_common],
+        parents=[*obs_common, data_common, index_backend],
     )
-    ingest_delta.add_argument("--data", default="data")
     ingest_delta.add_argument(
         "--add",
         metavar="PAPERS_JSONL",
@@ -975,33 +943,20 @@ def build_parser() -> argparse.ArgumentParser:
         help="where to write the post-delta corpus "
         "(default: overwrite <data>/corpus.jsonl)",
     )
-    ingest_delta.add_argument(
-        "--index-backend",
-        choices=index_backends.backend_names(),
-        default=index_backends.DEFAULT_BACKEND,
-        help="registered index backend used to open the inverted index",
-    )
     ingest_delta.set_defaults(func=_cmd_ingest_delta)
 
     tune = subparsers.add_parser(
         "tune",
         help="calibrate relevancy weights against AC answer sets",
-        parents=[obs_common, data_common],
+        parents=[*obs_common, data_common, no_workspace, scoring_choice],
     )
-    tune.add_argument("--data", default="data")
     tune.add_argument("--queries", type=int, default=20)
-    tune.add_argument(
-        "--function", choices=scoring.function_names(), default="text"
-    )
-    tune.add_argument(
-        "--paper-set", choices=scoring.PAPER_SET_NAMES, default="text"
-    )
     tune.set_defaults(func=_cmd_tune)
 
     ingest = subparsers.add_parser(
         "ingest",
         help="build a data dir from MEDLINE XML + OBO + GAF",
-        parents=[obs_common],
+        parents=obs_common,
     )
     ingest.add_argument("--medline", required=True, help="PubMed XML export")
     ingest.add_argument("--obo", required=True, help="Gene Ontology OBO file")
@@ -1011,9 +966,8 @@ def build_parser() -> argparse.ArgumentParser:
     ingest.set_defaults(func=_cmd_ingest)
 
     validate = subparsers.add_parser(
-        "validate", help="lint a corpus file", parents=[obs_common]
+        "validate", help="lint a corpus file", parents=[*obs_common, data_common]
     )
-    validate.add_argument("--data", default="data")
     validate.add_argument("--verbose", action="store_true")
     validate.set_defaults(func=_cmd_validate)
 
@@ -1036,44 +990,25 @@ def build_parser() -> argparse.ArgumentParser:
     obs_slowlog = obs_sub.add_parser(
         "slowlog",
         help="render the slow-query log of a telemetry dump",
-    )
-    obs_slowlog.add_argument(
-        "--file",
-        default="telemetry.json",
-        metavar="PATH",
-        help="telemetry dump written by --telemetry-out "
-        "(default: %(default)s)",
+        parents=[telemetry_dump, output_format],
     )
     obs_slowlog.add_argument(
         "--limit", type=int, default=0,
         help="show only the N slowest entries (0 = all)",
     )
-    obs_slowlog.add_argument(
-        "--format", choices=("table", "json"), default="table",
-        help="output format (default: %(default)s)",
-    )
     obs_slowlog.set_defaults(func=_cmd_obs_slowlog)
 
-    obs_slo = obs_sub.add_parser(
-        "slo", help="render the SLO / error-budget report of a telemetry dump"
-    )
-    obs_slo.add_argument(
-        "--file",
-        default="telemetry.json",
-        metavar="PATH",
-        help="telemetry dump written by --telemetry-out "
-        "(default: %(default)s)",
-    )
-    obs_slo.add_argument(
-        "--format", choices=("table", "json"), default="table",
-        help="output format (default: %(default)s)",
-    )
-    obs_slo.set_defaults(func=_cmd_obs_slo)
+    obs_sub.add_parser(
+        "slo",
+        help="render the SLO / error-budget report of a telemetry dump",
+        parents=[telemetry_dump, output_format],
+    ).set_defaults(func=_cmd_obs_slo)
 
     obs_analytics = obs_sub.add_parser(
         "analytics",
         help="render a service's GET /analytics payload "
         "(query analytics, shadow agreement, reload drift)",
+        parents=[output_format],
     )
     obs_analytics.add_argument(
         "--url", default=None, metavar="BASE_URL",
@@ -1082,10 +1017,6 @@ def build_parser() -> argparse.ArgumentParser:
     obs_analytics.add_argument(
         "--file", default=None, metavar="PATH",
         help="render a saved /analytics JSON payload instead",
-    )
-    obs_analytics.add_argument(
-        "--format", choices=("table", "json"), default="table",
-        help="output format (default: %(default)s)",
     )
     obs_analytics.set_defaults(func=_cmd_obs_analytics)
 
@@ -1096,9 +1027,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     configure_logging(json_format=True if getattr(args, "log_json", False) else None)
     trace_out = getattr(args, "trace_out", None)
+    metrics_out = getattr(args, "metrics_out", None)
     telemetry_out = getattr(args, "telemetry_out", None)
     # Fail on an unwritable dump path before doing the actual work.
-    for path in (trace_out, getattr(args, "metrics_out", None), telemetry_out):
+    for path in (trace_out, metrics_out, telemetry_out):
         if path and not Path(path).resolve().parent.is_dir():
             print(
                 f"error: directory of {path} does not exist", file=sys.stderr
@@ -1108,14 +1040,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     # Configure telemetry *after* start_tracing so request capture reuses
     # the --trace-out tracer (spans land in both dumps) instead of
     # installing an owned one.
-    telemetry = None
-    if telemetry_out:
-        telemetry = configure_telemetry(
-            enabled=True,
-            sample_rate=getattr(args, "sample_rate", 0.05),
-            slow_ms=getattr(args, "slow_ms", 100.0),
-            slos=_parse_slo_args(getattr(args, "slo", None)) or None,
-        )
+    telemetry = _configure_telemetry(args) if telemetry_out else None
     try:
         return args.func(args)
     finally:
@@ -1125,7 +1050,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         if tracer is not None:
             stop_tracing()
             tracer.write_jsonl(trace_out)
-        metrics_out = getattr(args, "metrics_out", None)
         if metrics_out:
             with open(metrics_out, "w", encoding="utf-8") as handle:
                 json.dump({"metrics": get_registry().snapshot()}, handle, indent=2)

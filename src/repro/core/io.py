@@ -62,7 +62,6 @@ def read_tagged_json(path: PathLike, format_tag: str) -> dict:
 def write_context_paper_set(paper_set: ContextPaperSet, path: PathLike) -> None:
     """Serialise a context paper set (ontology is *not* embedded)."""
     payload = {
-        "format": _PAPER_SET_FORMAT,
         "contexts": [
             {
                 "term_id": context.term_id,
@@ -74,8 +73,7 @@ def write_context_paper_set(paper_set: ContextPaperSet, path: PathLike) -> None:
             for context in paper_set
         ],
     }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
+    write_tagged_json(payload, path, _PAPER_SET_FORMAT)
 
 
 def read_context_paper_set(path: PathLike, ontology: Ontology) -> ContextPaperSet:
@@ -84,13 +82,7 @@ def read_context_paper_set(path: PathLike, ontology: Ontology) -> ContextPaperSe
     Terms missing from ``ontology`` raise (a paper set only makes sense
     with its ontology; silently dropping contexts would skew experiments).
     """
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("format") != _PAPER_SET_FORMAT:
-        raise ValueError(
-            f"{path}: not a context paper set file "
-            f"(format={payload.get('format')!r})"
-        )
+    payload = read_tagged_json(path, _PAPER_SET_FORMAT)
     contexts = [
         Context(
             term_id=raw["term_id"],
@@ -114,7 +106,6 @@ def write_prestige_scores(scores: PrestigeScores, path: PathLike) -> None:
     and fall back to full lazy recompute on delta.
     """
     payload = {
-        "format": _SCORES_FORMAT,
         "function": scores.function_name,
         "by_context": {
             context_id: scores.of(context_id)
@@ -126,19 +117,12 @@ def write_prestige_scores(scores: PrestigeScores, path: PathLike) -> None:
             context_id: dict(context_scores)
             for context_id, context_scores in scores.pre_propagation.items()
         }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
+    write_tagged_json(payload, path, _SCORES_FORMAT)
 
 
 def read_prestige_scores(path: PathLike) -> PrestigeScores:
     """Load prestige scores written by :func:`write_prestige_scores`."""
-    with open(path, "r", encoding="utf-8") as handle:
-        payload = json.load(handle)
-    if payload.get("format") != _SCORES_FORMAT:
-        raise ValueError(
-            f"{path}: not a prestige-scores file "
-            f"(format={payload.get('format')!r})"
-        )
+    payload = read_tagged_json(path, _SCORES_FORMAT)
     by_context = {
         context_id: {pid: float(v) for pid, v in scores.items()}
         for context_id, scores in payload["by_context"].items()

@@ -425,54 +425,6 @@ class Pipeline:
         """The context paper set named by ``paper_set_name``."""
         return self._store.paper_set(paper_set_name)
 
-    # -- precomputed artefacts ------------------------------------------------------
-
-    def load_precomputed(self, data_dir) -> int:
-        """Load paper-set/score artefacts from a directory of JSON files.
-
-        Any ``text_paper_set.json`` / ``pattern_paper_set.json`` /
-        ``scores_<function>_<set>.json`` found is installed into the
-        substrate store, short-circuiting the expensive builds.  Returns
-        the number of artefacts loaded.  Missing files are fine (a
-        directory may hold a subset); corrupt files raise.  For full
-        zero-rebuild hydration of every substrate use
-        :meth:`open_workspace` instead.
-        """
-        from pathlib import Path
-
-        from repro.core.io import read_context_paper_set, read_prestige_scores
-
-        data = Path(data_dir)
-        loaded = 0
-        text_set = data / "text_paper_set.json"
-        if text_set.exists():
-            self._store.install_text_paper_set(
-                read_context_paper_set(text_set, self.ontology)
-            )
-            loaded += 1
-        pattern_set = data / "pattern_paper_set.json"
-        if pattern_set.exists():
-            self._store.install_pattern_paper_set(
-                read_context_paper_set(pattern_set, self.ontology)
-            )
-            loaded += 1
-        for scores_path in sorted(data.glob("scores_*_*.json")):
-            # Filename is scores_<function>_<set>; the *function* may itself
-            # contain underscores ("citation_xctx"), the paper-set name never
-            # does -- so split the set off from the right, not the left.
-            function, _, paper_set_name = scores_path.stem[len("scores_"):].rpartition(
-                "_"
-            )
-            if not function or not paper_set_name:
-                continue
-            self._store.install_scores(
-                f"{function}/{paper_set_name}", read_prestige_scores(scores_path)
-            )
-            loaded += 1
-        if loaded:
-            self.refresh()
-        return loaded
-
     # -- workspace (artifact graph) -------------------------------------------------
 
     @classmethod
@@ -481,11 +433,12 @@ class Pipeline:
     ) -> "Pipeline":
         """Open a data directory and hydrate every cache from its workspace.
 
-        The generalisation of :meth:`load_precomputed`: a workspace built
-        by ``repro build`` (see :mod:`repro.workspace`) holds *all* heavy
-        substrates -- index, vectors, token cache, citation graph, paper
-        sets, representatives, prestige scores -- so a fully-built
-        workspace opens with zero rebuilds.
+        The only artifact loader: a workspace built by ``repro build``
+        (see :mod:`repro.workspace`) holds *all* heavy substrates --
+        index, vectors, token cache, citation graph, paper sets,
+        representatives, prestige scores -- each fingerprinted against
+        this pipeline's inputs and config, so a fully-built workspace
+        opens with zero rebuilds.
 
         ``workspace_dir`` defaults to ``<data_dir>/workspace``.  With
         ``strict=True`` any missing or stale artifact raises

@@ -4,11 +4,11 @@ The store holds the raw inputs (corpus, ontology, training papers) and
 the substrates derived from them -- inverted index, vector store, token
 cache, citation graph, the two context paper sets, representatives, and
 memoised prestige scores.  Substrates build lazily on first access and
-can be *installed* directly (workspace hydration, ``load_precomputed``)
-and probed without building (:meth:`SubstrateStore.is_built`);
-every installation bumps a monotonically increasing **revision**, which
-the serving layer (:class:`~repro.serving.view.ServingView`) compares
-against to know when its memoised engines and result cache are stale.
+can be *installed* directly (workspace hydration) and probed without
+building (:meth:`SubstrateStore.is_built`); every installation bumps a
+monotonically increasing **revision**, which the serving layer
+(:class:`~repro.serving.view.ServingView`) compares against to know when
+its memoised engines and result cache are stale.
 
 Prestige computation is single-flighted per ``function/paper_set`` key:
 concurrent cold lookups of the same scores block on one per-key lock and
@@ -280,7 +280,7 @@ class SubstrateStore:
         """Memoised prestige scores, computed at most once per key.
 
         ``function`` is any registered score function (plus any key
-        installed from precomputed artefacts); ``paper_set_name`` selects
+        installed from the workspace); ``paper_set_name`` selects
         the context paper set.  Concurrent cold lookups of the same key
         single-flight on a per-key lock.
         """
@@ -527,7 +527,7 @@ class SubstrateStore:
             scores.function_name, merged, pre_propagation=pre
         )
 
-    # -- installation (workspace hydration / precomputed artefacts) -----------------
+    # -- installation (workspace hydration) -----------------------------------------
 
     def install_index(self, index: Optional[SearchBackend]) -> None:
         with self._build_lock:

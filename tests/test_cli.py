@@ -202,18 +202,21 @@ class TestWorkspaceStatus:
 class TestServe:
     def test_serve_banner_reports_actual_bound_port(self, data_dir, capsys):
         """``--port 0`` must surface the resolved ephemeral port in the
-        banner, never the literal 0 that was asked for."""
+        banner, never the literal 0 that was asked for.  The flags and the
+        banner pattern are exactly the ones the repository benchmark
+        (``perfbench/server.py``) uses to start the service and find it."""
         import re
 
         code = main([
-            "serve", "--data", str(data_dir), "--port", "0",
-            "--for-seconds", "0.01",
+            "serve", "--data", str(data_dir), "--host", "127.0.0.1",
+            "--port", "0", "--no-result-cache", "--for-seconds", "0.01",
         ])
         assert code == 0
         output = capsys.readouterr().out
-        match = re.search(r"on http://127\.0\.0\.1:(\d+)", output)
+        match = re.search(r"on http://([\d.]+):(\d+) ", output)
         assert match is not None, output
-        assert int(match.group(1)) != 0
+        assert match.group(1) == "127.0.0.1"
+        assert int(match.group(2)) != 0
         assert "/search" in output and "/admin/reload" in output
 
     def test_serve_answers_search_over_http(self, data_dir, capsys):
@@ -481,10 +484,24 @@ class TestObsTelemetry:
         assert payload["analytics"]["zero_result_rate"] == 0.25
         assert payload["shadow"]["agreement"]["citation"]["samples"] == 2
 
-    def test_obs_analytics_requires_exactly_one_source(self, capsys):
-        code = main(["obs", "analytics"])
-        assert code == 1
-        assert "exactly one" in capsys.readouterr().err
+    def test_obs_analytics_requires_exactly_one_source(self):
+        """CLI errors raise ``SystemExit``: from the shell that is exit
+        status 1 with the message on stderr."""
+        import os
+        import subprocess
+        import sys
+        from pathlib import Path
+
+        import repro
+
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        result = subprocess.run(
+            [sys.executable, "-m", "repro.cli", "obs", "analytics"],
+            capture_output=True, text=True, timeout=60,
+            env=dict(os.environ, PYTHONPATH=src),
+        )
+        assert result.returncode == 1
+        assert result.stderr == "error: pass exactly one of --url or --file\n"
 
     def test_custom_slo_spec_flows_into_dump(
         self, data_dir, tmp_path, capsys
@@ -513,6 +530,200 @@ class TestObsTelemetry:
             main(["obs", "slowlog", "--file", str(tmp_path / "absent.json")])
 
 
+def _opt(dest, default=None, action="_StoreAction", type=None, choices=None,
+         required=False):
+    """Expected shape of one option: what argparse records for it."""
+    return (dest, default, choices, required, action, type)
+
+
+def _flags(**options):
+    """``--some-flag`` keyword spelling: ``some_flag=_opt(...)``."""
+    return {"--" + name.replace("_", "-"): spec for name, spec in options.items()}
+
+
+HELP = {"-h --help": _opt("help", "==SUPPRESS==", "_HelpAction")}
+DUMP = _flags(
+    trace_out=_opt("trace_out"),
+    metrics_out=_opt("metrics_out"),
+    telemetry_out=_opt("telemetry_out"),
+    log_json=_opt("log_json", False, "_StoreTrueAction"),
+)
+TELEMETRY = _flags(
+    sample_rate=_opt("sample_rate", 0.05, type="float"),
+    slow_ms=_opt("slow_ms", 100.0, type="float"),
+    slo=_opt("slo", action="_AppendAction"),
+)
+DATA = _flags(data=_opt("data", "data"))
+NO_WORKSPACE = _flags(no_workspace=_opt("no_workspace", False, "_StoreTrueAction"))
+NO_RESULT_CACHE = _flags(
+    no_result_cache=_opt("no_result_cache", False, "_StoreTrueAction")
+)
+FORMAT = _flags(format=_opt("format", "table", choices=("table", "json")))
+DUMP_FILE = _flags(file=_opt("file", "telemetry.json"))
+
+
+def _index_backend():
+    from repro.index import backends
+
+    return _flags(index_backend=_opt(
+        "index_backend", backends.DEFAULT_BACKEND,
+        choices=tuple(backends.backend_names()),
+    ))
+
+
+def _scoring_choice():
+    from repro import scoring
+
+    return _flags(
+        function=_opt(
+            "function", "text", choices=tuple(scoring.function_names())
+        ),
+        paper_set=_opt(
+            "paper_set", "text", choices=tuple(scoring.PAPER_SET_NAMES)
+        ),
+    )
+
+
+def _expected_surface():
+    """Every subcommand path's exact option surface, pinned by hand."""
+    from repro.core.search import SELECTION_STRATEGIES
+
+    index_backend = _index_backend()
+    scoring_choice = _scoring_choice()
+    obs_flags = {**HELP, **DUMP, **TELEMETRY}
+    return {
+        (): HELP,
+        ("generate",): {**obs_flags, **_flags(
+            papers=_opt("papers", 1200, type="int"),
+            terms=_opt("terms", 250, type="int"),
+            max_depth=_opt("max_depth", 7, type="int"),
+            preset=_opt("preset", choices=(
+                "tiny", "small", "default", "large", "paper",
+            )),
+            seed=_opt("seed", 0, type="int"),
+            out=_opt("out", "data"),
+        )},
+        ("search",): {
+            **obs_flags, **DATA, **NO_WORKSPACE, **index_backend,
+            **NO_RESULT_CACHE, **scoring_choice, **_flags(
+                query=_opt("query"),
+                queries_file=_opt("queries_file"),
+                selection_strategy=_opt(
+                    "selection_strategy", "probe", choices=SELECTION_STRATEGIES
+                ),
+                workers=_opt("workers", 4, type="int"),
+                limit=_opt("limit", 10, type="int"),
+                threshold=_opt("threshold", 0.0, type="float"),
+            ),
+        },
+        ("serve",): {
+            **HELP, **TELEMETRY, **DATA, **NO_WORKSPACE, **index_backend,
+            **NO_RESULT_CACHE, **_flags(
+                host=_opt("host", "127.0.0.1"),
+                port=_opt("port", 8977, type="int"),
+                max_in_flight=_opt("max_in_flight", 8, type="int"),
+                queue_depth=_opt("queue_depth", 16, type="int"),
+                retry_after_s=_opt("retry_after_s", 1.0, type="float"),
+                warmup=_opt("warmup", 0, type="int"),
+                workers=_opt("workers", 4, type="int"),
+                for_seconds=_opt("for_seconds", type="float"),
+                shadow_functions=_opt("shadow_function", action="_AppendAction"),
+                shadow_sample_rate=_opt(
+                    "shadow_sample_rate", 0.1, type="float"
+                ),
+                shadow_k=_opt("shadow_k", 10, type="int"),
+                probe_queries=_opt("probe_queries"),
+                probe_functions=_opt("probe_function", action="_AppendAction"),
+                probe_k=_opt("probe_k", 10, type="int"),
+                max_drift=_opt("max_drift", type="float"),
+                ready_max_age_s=_opt("ready_max_age_s", type="float"),
+            ),
+        },
+        ("evaluate",): {**obs_flags, **DATA, **NO_WORKSPACE, **_flags(
+            queries=_opt("queries", 30, type="int"),
+            report=_opt("report"),
+        )},
+        ("build",): {**obs_flags, **DATA, **index_backend, **_flags(
+            only=_opt("only", action="_AppendAction"),
+            force=_opt("force", False, "_StoreTrueAction"),
+        )},
+        ("workspace",): obs_flags,
+        ("workspace", "status"): {**HELP, **DATA, **index_backend},
+        ("ingest-delta",): {**obs_flags, **DATA, **index_backend, **_flags(
+            add=_opt("add"),
+            remove=_opt("remove", action="_AppendAction"),
+            out_corpus=_opt("out_corpus"),
+        )},
+        ("tune",): {
+            **obs_flags, **DATA, **NO_WORKSPACE, **scoring_choice,
+            **_flags(queries=_opt("queries", 20, type="int")),
+        },
+        ("ingest",): {**obs_flags, **_flags(
+            medline=_opt("medline", required=True),
+            obo=_opt("obo", required=True),
+            gaf=_opt("gaf", required=True),
+            max_training_per_term=_opt(
+                "max_training_per_term", 10, type="int"
+            ),
+            out=_opt("out", "data"),
+        )},
+        ("validate",): {**obs_flags, **DATA, **_flags(
+            verbose=_opt("verbose", False, "_StoreTrueAction"),
+        )},
+        ("obs",): HELP,
+        ("obs", "report"): {**HELP, **_flags(
+            trace=_opt("trace"), metrics=_opt("metrics"),
+        )},
+        ("obs", "slowlog"): {
+            **HELP, **DUMP_FILE, **FORMAT,
+            **_flags(limit=_opt("limit", 0, type="int")),
+        },
+        ("obs", "slo"): {**HELP, **DUMP_FILE, **FORMAT},
+        ("obs", "analytics"): {**HELP, **FORMAT, **_flags(
+            url=_opt("url"), file=_opt("file"),
+        )},
+    }
+
+
+#: Subcommand paths that branch further: (dest, nested names).
+EXPECTED_SUBCOMMANDS = {
+    (): ("command", {
+        "generate", "search", "serve", "evaluate", "build", "workspace",
+        "ingest-delta", "tune", "ingest", "validate", "obs",
+    }),
+    ("workspace",): ("workspace_command", {"status"}),
+    ("obs",): ("obs_command", {"report", "slowlog", "slo", "analytics"}),
+}
+
+
+def _walk_surface(parser, path=(), surface=None, branches=None):
+    """Recursively record each parser's options and nested subcommands."""
+    import argparse
+
+    surface = {} if surface is None else surface
+    branches = {} if branches is None else branches
+    options = {}
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            assert action.required, path
+            branches[path] = (action.dest, set(action.choices))
+            for name, nested in action.choices.items():
+                _walk_surface(nested, path + (name,), surface, branches)
+            continue
+        key = " ".join(action.option_strings)
+        assert key not in options, f"{path}: {key} declared twice"
+        options[key] = _opt(
+            action.dest,
+            action.default,
+            type(action).__name__,
+            getattr(action.type, "__name__", action.type),
+            tuple(action.choices) if action.choices is not None else None,
+            action.required,
+        )
+    surface[path] = options
+    return surface, branches
+
+
 class TestParser:
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -521,3 +732,17 @@ class TestParser:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             main(["frobnicate"])
+
+    def test_flag_surface_is_pinned(self):
+        """Every subcommand path (nested ones too) exposes exactly these
+        options with exactly these dests, defaults, choices, required
+        flags and action types -- refactoring the parser must not move
+        a single one."""
+        from repro.cli import build_parser
+
+        surface, branches = _walk_surface(build_parser())
+        assert branches == EXPECTED_SUBCOMMANDS
+        expected = _expected_surface()
+        assert sorted(surface) == sorted(expected)
+        for path, options in expected.items():
+            assert surface[path] == options, " ".join(path) or "<root>"

@@ -32,6 +32,14 @@ def paper_set(tiny_ontology):
     )
 
 
+#: Files no codec wrote: a non-object payload and truncated JSON.  Both
+#: must raise ``ValueError`` naming the file.
+MALFORMED = [
+    pytest.param("[]", "expected format", id="non-object"),
+    pytest.param('{"format": ', "corrupt JSON", id="corrupt-json"),
+]
+
+
 class TestContextPaperSetRoundTrip:
     def test_round_trip(self, paper_set, tiny_ontology, tmp_path):
         path = tmp_path / "set.json"
@@ -48,8 +56,16 @@ class TestContextPaperSetRoundTrip:
     def test_wrong_format_rejected(self, tiny_ontology, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text('{"format": "something-else"}', encoding="utf-8")
-        with pytest.raises(ValueError, match="not a context paper set"):
+        with pytest.raises(ValueError, match="expected format"):
             read_context_paper_set(path, tiny_ontology)
+
+    @pytest.mark.parametrize("text, message", MALFORMED)
+    def test_malformed_file_names_path(self, tiny_ontology, tmp_path, text, message):
+        path = tmp_path / "junk.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=message) as excinfo:
+            read_context_paper_set(path, tiny_ontology)
+        assert str(path) in str(excinfo.value)
 
     def test_unknown_term_rejected_on_load(self, paper_set, tmp_path):
         from repro.ontology import Ontology
@@ -78,8 +94,16 @@ class TestPrestigeScoresRoundTrip:
     def test_wrong_format_rejected(self, tmp_path):
         path = tmp_path / "junk.json"
         path.write_text('{"format": "nope"}', encoding="utf-8")
-        with pytest.raises(ValueError, match="not a prestige-scores"):
+        with pytest.raises(ValueError, match="expected format"):
             read_prestige_scores(path)
+
+    @pytest.mark.parametrize("text, message", MALFORMED)
+    def test_malformed_file_names_path(self, tmp_path, text, message):
+        path = tmp_path / "junk.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=message) as excinfo:
+            read_prestige_scores(path)
+        assert str(path) in str(excinfo.value)
 
     def test_empty_scores(self, tmp_path):
         path = tmp_path / "empty.json"

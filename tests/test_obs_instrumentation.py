@@ -162,12 +162,10 @@ class TestCliRoundTrip:
         ):
             assert expected in out
 
-    def test_report_missing_file_errors(self, tmp_path, capsys):
-        code = main(["obs", "report", "--trace", str(tmp_path / "nope.jsonl")])
-        assert code == 1
-        assert "not found" in capsys.readouterr().err
+    def test_report_missing_file_errors(self, tmp_path):
+        with pytest.raises(SystemExit, match="not found"):
+            main(["obs", "report", "--trace", str(tmp_path / "nope.jsonl")])
 
-    def test_report_requires_an_input(self, capsys):
-        code = main(["obs", "report"])
-        assert code == 1
-        assert "pass --trace" in capsys.readouterr().err
+    def test_report_requires_an_input(self):
+        with pytest.raises(SystemExit, match="pass --trace"):
+            main(["obs", "report"])

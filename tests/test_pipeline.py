@@ -138,16 +138,33 @@ class TestFromDirectory:
 
 class TestLoadPrecomputedParsing:
     def test_function_name_with_underscore(self, small_dataset, tmp_path):
-        """Regression: scores_<function>_<set> where <function> itself
-        contains an underscore used to be skipped silently."""
-        from repro.core.io import write_prestige_scores
-        from repro.core.scores import PrestigeScores
+        """Regression: a score function whose name itself contains an
+        underscore (``scores_citation_xctx_text``) must hydrate under its
+        full name, not be split at the first underscore."""
+        from repro import scoring
+        from repro.core.scores import PrestigeScoreFunction
+        from repro.workspace import open_workspace
 
-        scores = PrestigeScores("citation_xctx", {"T:1": {"P:1": 0.5}})
-        write_prestige_scores(scores, tmp_path / "scores_citation_xctx_text.json")
-        pipeline = Pipeline.from_dataset(small_dataset)
-        assert pipeline.load_precomputed(tmp_path) == 1
+        class UniformPrestige(PrestigeScoreFunction):
+            name = "citation_xctx"
+            normalization = "none"
+
+            def score_context(self, context):
+                return {paper_id: 0.5 for paper_id in context.paper_ids}
+
+        spec = scoring.ScoreFunctionSpec(
+            name="citation_xctx",
+            factory=lambda substrates: UniformPrestige(),
+            paper_sets=("text",),
+        )
+        with scoring.temporary_registration(spec):
+            source = Pipeline.from_dataset(small_dataset)
+            source.build_workspace(tmp_path, only=["scores_citation_xctx_text"])
+            pipeline = Pipeline.from_dataset(small_dataset)
+            assert open_workspace(pipeline, tmp_path, strict=False) >= 1
         assert "citation_xctx/text" in pipeline.substrates.scores
         restored = pipeline.substrates.scores["citation_xctx/text"]
         assert restored.function_name == "citation_xctx"
-        assert restored.score("T:1", "P:1") == pytest.approx(0.5)
+        context_id = restored.context_ids()[0]
+        paper_id = next(iter(restored.of(context_id)))
+        assert restored.score(context_id, paper_id) == pytest.approx(0.5)

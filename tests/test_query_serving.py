@@ -7,8 +7,8 @@ Covers the serving-layer contract end to end:
 - the pipeline's LRU result cache -- hit/miss/evict counters, capacity
   bound, and identical results with the cache on or off for all three
   prestige functions;
-- cache invalidation when artifacts are (re)installed via
-  ``load_precomputed`` or workspace hydration;
+- cache invalidation when artifacts are (re)installed by workspace
+  hydration (a partial workspace or a full one);
 - engine memoisation identity and the ``representative``-strategy
   vector plumbing;
 - ``search_many`` determinism and metric exactness under the thread
@@ -17,7 +17,6 @@ Covers the serving-layer contract end to end:
 
 import pytest
 
-from repro.core.io import write_prestige_scores
 from repro.obs import get_registry, reset_registry
 from repro.pipeline import SearchResultCache, build_demo_pipeline
 from repro.workspace import open_workspace
@@ -213,15 +212,13 @@ class TestEngineMemoisation:
 
 class TestInvalidation:
     def test_load_precomputed_clears_serving_caches(self, pipeline, tmp_path):
-        write_prestige_scores(
-            pipeline.prestige("text", "text"), tmp_path / "scores_text_text.json"
-        )
+        report = pipeline.build_workspace(tmp_path, only=["scores_text_text"])
         pipeline.refresh()
         engine = pipeline.search_engine("text", "text")
         pipeline.search(QUERY, limit=5)
         assert len(pipeline.serving_view.result_cache) == 1
-        loaded = pipeline.load_precomputed(tmp_path)
-        assert loaded == 1
+        loaded = open_workspace(pipeline, tmp_path, strict=False)
+        assert loaded == len(report.built)
         assert len(pipeline.serving_view.result_cache) == 0
         assert pipeline.search_engine("text", "text") is not engine
 
@@ -229,7 +226,7 @@ class TestInvalidation:
         pipeline.refresh()
         engine = pipeline.search_engine("text", "text")
         pipeline.search(QUERY, limit=5)
-        assert pipeline.load_precomputed(tmp_path / "empty") == 0
+        assert open_workspace(pipeline, tmp_path / "empty", strict=False) == 0
         assert len(pipeline.serving_view.result_cache) == 1
         assert pipeline.search_engine("text", "text") is engine
 

@@ -5,9 +5,10 @@ The registry in ``src/repro/scoring/`` is the single source of truth
 for prestige score functions.  This lint (modeled on
 ``check_metric_names.py``) fails CI when any derived surface drifts:
 
-1. the CLI ``--function`` choice lists (``repro search`` / ``repro
-   tune``) must equal the registered names, and ``--paper-set`` must
-   equal ``scoring.PAPER_SET_NAMES``;
+1. the CLI ``--function`` choice lists must equal the registered names
+   and ``--paper-set`` must equal ``scoring.PAPER_SET_NAMES`` on every
+   subcommand, nested ones included; ``repro search`` and ``repro
+   tune`` must both expose ``--function``;
 2. the workspace must derive exactly one ``scores_<function>_<paper_set>``
    artifact per evaluation arm, with the dependency chain
    ``(<paper_set>_paper_set,) + spec.substrates``;
@@ -36,6 +37,10 @@ DOCS_PATH = "docs/architecture.md"
 EXEMPT_PREFIX = "src/repro/scoring/"
 
 
+#: Subcommands (nested ones space-joined) required to expose --function.
+REQUIRED_SUBCOMMANDS = {"search", "tune"}
+
+
 def check_cli_choices(scoring) -> list:
     """CLI --function / --paper-set choices must come from the registry."""
     from repro.cli import build_parser
@@ -47,11 +52,16 @@ def check_cli_choices(scoring) -> list:
         for action in build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     )
-    seen = 0
-    for subcommand, parser in subparsers.choices.items():
+    seen = set()
+
+    def scan(subcommand, parser):
         for action in parser._actions:
+            if isinstance(action, argparse._SubParsersAction):
+                for nested_name, nested in action.choices.items():
+                    scan(f"{subcommand} {nested_name}", nested)
+                continue
             if "--function" in action.option_strings:
-                seen += 1
+                seen.add(subcommand)
                 if tuple(action.choices or ()) != names:
                     problems.append(
                         f"cli: `{subcommand} --function` choices "
@@ -64,10 +74,11 @@ def check_cli_choices(scoring) -> list:
                         f"{tuple(action.choices or ())} != "
                         f"{scoring.PAPER_SET_NAMES}"
                     )
-    if seen < 2:
-        problems.append(
-            f"cli: expected a --function flag on search and tune, found {seen}"
-        )
+
+    for subcommand, parser in subparsers.choices.items():
+        scan(subcommand, parser)
+    for subcommand in sorted(REQUIRED_SUBCOMMANDS - seen):
+        problems.append(f"cli: `{subcommand}` has no --function flag")
     return problems
 
 
