@@ -192,9 +192,7 @@ def _cmd_search(args: argparse.Namespace) -> int:
     )
     if args.queries_file is not None:
         queries = _read_queries_file(args.queries_file)
-        batches = pipeline.search_many(
-            queries, max_workers=args.workers, **options
-        )
+        batches = pipeline.search_many(queries, **options)
         answered = 0
         for query, hits in zip(queries, batches):
             print(f"== {query}")
@@ -574,7 +572,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             # the first scrape; the second pass hits the result cache.
             for query in queries:
                 pipeline.search(query)
-            pipeline.search_many(queries, max_workers=args.workers)
+            pipeline.search_many(queries)
             print(f"warmed up with {len(queries)} queries")
     if args.probe_queries:
         probes = _read_queries_file(args.probe_queries)
@@ -783,17 +781,13 @@ def build_parser() -> argparse.ArgumentParser:
     query_source.add_argument(
         "--queries-file",
         help="file with one query per line (blank lines and # comments skipped); "
-        "queries run as a concurrent batch",
+        "queries run as one batch",
     )
     search.add_argument(
         "--selection-strategy",
         choices=SELECTION_STRATEGIES,
         default="probe",
         help="how to pick candidate contexts for a query",
-    )
-    search.add_argument(
-        "--workers", type=int, default=4,
-        help="thread-pool size for --queries-file batches",
     )
     search.add_argument("--limit", type=int, default=10)
     search.add_argument("--threshold", type=float, default=0.0)
@@ -828,10 +822,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--warmup", type=int, default=0, metavar="N",
         help="run N derived queries through the pipeline before serving",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=4,
-        help="thread-pool size for the warmup batch",
     )
     serve.add_argument(
         "--for-seconds", type=float, default=None, metavar="S",

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import abc
 import re
-from typing import Dict, Mapping, Optional
+from typing import Dict, Iterable, Mapping, Optional, Tuple
 
 from repro.core.context import Context, ContextPaperSet
 from repro.obs import get_registry, span
@@ -171,14 +171,6 @@ class PrestigeScoreFunction(abc.ABC):
         scores are commensurable with the ancestor's when the max is
         taken -- both live in [0, 1].
         """
-        key = normalize if normalize is not None else self.normalization
-        try:
-            normalizer = NORMALIZERS[key]
-        except KeyError:
-            raise ValueError(
-                f"unknown normalization {key!r}; expected one of "
-                f"{sorted(NORMALIZERS)}"
-            ) from None
         registry = get_registry()
         # Score-function names are free-form ("citation-xctx"); fold them
         # into one valid metric segment so the dotted convention holds.
@@ -187,24 +179,20 @@ class PrestigeScoreFunction(abc.ABC):
             or "unnamed"
         )
         with span(
-            f"scores.{metric_name}.score_all", normalize=key
+            f"scores.{metric_name}.score_all"
         ) as trace, registry.timer(f"scores.{metric_name}.seconds"):
-            by_context: Dict[str, Dict[str, float]] = {}
-            papers_scored = 0
-            for context in paper_set:
-                raw = self.score_context(context)
-                if not raw:
-                    continue
-                papers_scored += len(raw)
-                scored = normalizer(raw)
-                if context.decay != 1.0:
-                    scored = {pid: s * context.decay for pid, s in scored.items()}
-                by_context[context.term_id] = scored
+            key, by_context, papers_scored = self._score_normalized(
+                paper_set, normalize
+            )
             pre_propagation = None
             if propagate:
                 pre_propagation = by_context
                 by_context = propagate_max_over_descendants(paper_set, by_context)
-            trace.set(contexts_scored=len(by_context), papers_scored=papers_scored)
+            trace.set(
+                normalize=key,
+                contexts_scored=len(by_context),
+                papers_scored=papers_scored,
+            )
         registry.counter(f"scores.{metric_name}.contexts_scored").inc(len(by_context))
         registry.counter(f"scores.{metric_name}.papers_scored").inc(papers_scored)
         return PrestigeScores(self.name, by_context, pre_propagation=pre_propagation)
@@ -224,18 +212,40 @@ class PrestigeScoreFunction(abc.ABC):
         exactly.  Contexts that cannot be scored map to an *absent* entry,
         mirroring ``score_all``'s skip of empty raw scores.
         """
-        key = normalize if normalize is not None else self.normalization
-        normalizer = NORMALIZERS[key]
         wanted = set(context_ids)
-        result: Dict[str, Dict[str, float]] = {}
-        for context in paper_set:
-            if context.term_id not in wanted:
-                continue
+        _, by_context, _ = self._score_normalized(
+            (context for context in paper_set if context.term_id in wanted),
+            normalize,
+        )
+        return by_context
+
+    def _score_normalized(
+        self, contexts: Iterable[Context], normalize: Optional[str]
+    ) -> Tuple[str, Dict[str, Dict[str, float]], int]:
+        """Score, normalise and decay each context.
+
+        ``normalize`` is a :data:`NORMALIZERS` key or None for the
+        function's default; an unknown key raises ``ValueError``.
+        Returns the resolved key, the per-context scores (unscorable
+        contexts absent) and the number of raw paper scores computed.
+        """
+        key = normalize if normalize is not None else self.normalization
+        try:
+            normalizer = NORMALIZERS[key]
+        except KeyError:
+            raise ValueError(
+                f"unknown normalization {key!r}; expected one of "
+                f"{sorted(NORMALIZERS)}"
+            ) from None
+        by_context: Dict[str, Dict[str, float]] = {}
+        papers_scored = 0
+        for context in contexts:
             raw = self.score_context(context)
             if not raw:
                 continue
+            papers_scored += len(raw)
             scored = normalizer(raw)
             if context.decay != 1.0:
                 scored = {pid: s * context.decay for pid, s in scored.items()}
-            result[context.term_id] = scored
-        return result
+            by_context[context.term_id] = scored
+        return key, by_context, papers_scored

@@ -18,16 +18,16 @@ Serving fast path: each query is analysed into one
 that probe selection, relevancy scoring, grouped results, and
 :meth:`ContextSearchEngine.explain` all share -- the index is never
 scanned twice for one request.  Independent queries can be batched
-through :meth:`ContextSearchEngine.search_many`, which fans out over a
-thread pool (the registry and the engine's lazy caches are
-thread-safe).
+through :meth:`ContextSearchEngine.search_many`, which warms the
+engine's lazy caches once and runs the queries sequentially under one
+batch span.  The registry and the lazy caches are thread-safe, so the
+HTTP service's handler threads can share one engine.
 """
 
 from __future__ import annotations
 
 import heapq
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -35,7 +35,7 @@ from repro.core.context import ContextPaperSet
 from repro.core.scores.base import PrestigeScores
 from repro.core.vectors import PaperVectorStore
 from repro.index.search import KeywordSearchEngine, QueryEvaluation
-from repro.obs import attach_span, current_span, get_registry, span
+from repro.obs import get_registry, span
 from repro.ontology.ontology import Ontology
 
 #: Available context-selection strategies (task 3 of the paradigm):
@@ -152,8 +152,9 @@ class ContextSearchEngine:
     def warm(self) -> "ContextSearchEngine":
         """Build the engine's lazy per-query caches up front.
 
-        Called implicitly by :meth:`search_many` before fanning out so
-        worker threads never race a lazy build; harmless to call twice.
+        Called by :meth:`search_many` before a batch; the lock keeps
+        concurrent request threads from racing a lazy build, and a
+        second call is a no-op.
         """
         with self._warm_lock:
             if self._warmed:
@@ -402,43 +403,26 @@ class ContextSearchEngine:
                     yield paper_id, matching
 
     def search_many(
-        self,
-        queries: Sequence[str],
-        max_workers: int = 4,
-        **kwargs,
+        self, queries: Sequence[str], **kwargs
     ) -> List[List[SearchHit]]:
-        """Run independent queries concurrently; results in input order.
+        """Run independent queries one after another; results in input order.
 
-        Queries fan out over a thread pool after :meth:`warm` has built
-        every lazy cache, so workers only read shared state.  Each query
+        :meth:`warm` builds every lazy cache up front, then each query
         runs the same single-scan path as :meth:`search` and increments
-        every metric exactly once.  The batch span is handed to every
-        worker via :func:`repro.obs.attach_span`, so per-query
-        ``search.run`` spans stay children of ``search.batch.run``
-        instead of becoming orphan roots of the tracer's per-thread
-        stacks.  ``kwargs`` are passed through to :meth:`search`.
+        every metric exactly once.  Per-query ``search.run`` spans are
+        children of ``search.batch.run``.  ``kwargs`` are passed through
+        to :meth:`search`.
         """
         queries = list(queries)
         if not queries:
             return []
-        if max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {max_workers}")
         self.warm()
         registry = get_registry()
         registry.counter("search.batch.queries").inc(len(queries))
         with span(
-            "search.batch.run", queries=len(queries), workers=max_workers
+            "search.batch.run", queries=len(queries)
         ), registry.timer("search.batch.seconds"):
-            if max_workers == 1 or len(queries) == 1:
-                return [self.search(query, **kwargs) for query in queries]
-            parent = current_span()
-
-            def run_one(query: str) -> List[SearchHit]:
-                with attach_span(parent):
-                    return self.search(query, **kwargs)
-
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                return list(pool.map(run_one, queries))
+            return [self.search(query, **kwargs) for query in queries]
 
     def search_grouped(
         self,

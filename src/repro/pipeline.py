@@ -593,13 +593,12 @@ class Pipeline:
         limit: Optional[int] = 10,
         threshold: float = 0.0,
         selection_strategy: str = "probe",
-        max_workers: int = 4,
         use_cache: bool = True,
     ) -> List[List[SearchHit]]:
-        """Batch search: answer independent queries concurrently.
+        """Batch search: answer independent queries in one request.
 
-        Cached queries are answered inline; the misses fan out through
-        :meth:`ContextSearchEngine.search_many` on a thread pool.  The
+        Cached queries are answered from the result cache; the misses run
+        through :meth:`ContextSearchEngine.search_many` in order.  The
         returned list is index-aligned with ``queries`` (deterministic
         merge), and each miss populates the result cache.  The whole
         batch is served from one :class:`ServingView` snapshot, so a
@@ -642,7 +641,6 @@ class Pipeline:
                 engine = view.engine(function, paper_set_name, selection_strategy)
                 fresh = engine.search_many(
                     [queries[i] for i in misses],
-                    max_workers=max_workers,
                     threshold=threshold,
                     limit=limit,
                 )

@@ -107,7 +107,7 @@ class TestSearch:
         )
         code = main([
             "search", "--data", str(data_dir),
-            "--queries-file", str(queries_file), "--workers", "2",
+            "--queries-file", str(queries_file),
         ])
         output = capsys.readouterr().out
         assert code in (0, 1)
@@ -387,7 +387,7 @@ class TestObsTelemetry:
         out = tmp_path / "telemetry.json"
         code = main([
             "search", "--data", str(data_dir),
-            "--queries-file", str(queries_file), "--workers", "2",
+            "--queries-file", str(queries_file),
             "--telemetry-out", str(out), "--sample-rate", "1.0",
         ])
         capsys.readouterr()
@@ -611,7 +611,6 @@ def _expected_surface():
                 selection_strategy=_opt(
                     "selection_strategy", "probe", choices=SELECTION_STRATEGIES
                 ),
-                workers=_opt("workers", 4, type="int"),
                 limit=_opt("limit", 10, type="int"),
                 threshold=_opt("threshold", 0.0, type="float"),
             ),
@@ -625,7 +624,6 @@ def _expected_surface():
                 queue_depth=_opt("queue_depth", 16, type="int"),
                 retry_after_s=_opt("retry_after_s", 1.0, type="float"),
                 warmup=_opt("warmup", 0, type="int"),
-                workers=_opt("workers", 4, type="int"),
                 for_seconds=_opt("for_seconds", type="float"),
                 shadow_functions=_opt("shadow_function", action="_AppendAction"),
                 shadow_sample_rate=_opt(

@@ -127,6 +127,25 @@ class TestCitationPrestige:
         scorer = CitationPrestige(tiny_setup["graph"])
         assert scorer.score_context(Context("met", ())) == {}
 
+    @pytest.mark.parametrize(
+        "score",
+        [
+            lambda scorer, paper_set: scorer.score_all(
+                paper_set, normalize="bogus"
+            ),
+            lambda scorer, paper_set: scorer.score_contexts(
+                paper_set, ["met"], normalize="bogus"
+            ),
+        ],
+        ids=["score_all", "score_contexts"],
+    )
+    def test_unknown_normalization_rejected(self, tiny_setup, score):
+        scorer = CitationPrestige(tiny_setup["graph"])
+        with pytest.raises(
+            ValueError, match="unknown normalization 'bogus'; expected one of"
+        ):
+            score(scorer, tiny_setup["paper_set"])
+
     def test_subgraph_density(self, tiny_setup):
         scorer = CitationPrestige(tiny_setup["graph"])
         context = tiny_setup["paper_set"].context("met")

@@ -11,12 +11,13 @@ Covers the serving-layer contract end to end:
   hydration (a partial workspace or a full one);
 - engine memoisation identity and the ``representative``-strategy
   vector plumbing;
-- ``search_many`` determinism and metric exactness under the thread
-  pool.
+- ``search_many`` determinism, metric exactness, and parity with
+  per-query search for every evaluation arm.
 """
 
 import pytest
 
+from repro import scoring
 from repro.obs import get_registry, reset_registry
 from repro.pipeline import SearchResultCache, build_demo_pipeline
 from repro.workspace import open_workspace
@@ -253,12 +254,12 @@ class TestSearchMany:
     def test_results_match_sequential_search_in_input_order(self, pipeline):
         engine = pipeline.search_engine("text", "text")
         sequential = [engine.search(q, limit=10) for q in self.QUERIES]
-        batched = engine.search_many(self.QUERIES, max_workers=4, limit=10)
+        batched = engine.search_many(self.QUERIES, limit=10)
         assert batched == sequential
 
     def test_metrics_increment_exactly_once_per_query(self, pipeline):
-        # The thread pool must produce exactly the counter increments the
-        # sequential loop would (no duplicates, no losses).
+        # A batch must produce exactly the counter increments the
+        # per-query loop would (no duplicates, no losses).
         engine = pipeline.search_engine("text", "text")
         engine.search(self.QUERIES[0], limit=10)  # warm lazy state
         watched = (
@@ -271,7 +272,7 @@ class TestSearchMany:
         for query in self.QUERIES:
             engine.search(query, limit=10)
         mid = _counters()
-        engine.search_many(self.QUERIES, max_workers=4, limit=10)
+        engine.search_many(self.QUERIES, limit=10)
         after = _counters()
         for name in watched:
             sequential = mid.get(name, 0) - before.get(name, 0)
@@ -285,18 +286,23 @@ class TestSearchMany:
 
     def test_batch_is_deterministic_across_runs(self, pipeline):
         engine = pipeline.search_engine("text", "text")
-        first = engine.search_many(self.QUERIES, max_workers=4, limit=10)
-        second = engine.search_many(self.QUERIES, max_workers=4, limit=10)
+        first = engine.search_many(self.QUERIES, limit=10)
+        second = engine.search_many(self.QUERIES, limit=10)
         assert first == second
-
-    def test_rejects_bad_worker_count(self, pipeline):
-        engine = pipeline.search_engine("text", "text")
-        with pytest.raises(ValueError):
-            engine.search_many(self.QUERIES, max_workers=0)
 
     def test_empty_batch(self, pipeline):
         engine = pipeline.search_engine("text", "text")
         assert engine.search_many([]) == []
+
+    @pytest.mark.parametrize("arm", scoring.evaluation_arms())
+    def test_pipeline_batch_matches_per_query_search(self, pipeline, arm):
+        function, paper_set = arm
+        options = dict(function=function, paper_set_name=paper_set, limit=10)
+        pipeline.refresh()
+        batched = pipeline.search_many(self.QUERIES, **options)
+        pipeline.refresh()
+        sequential = [pipeline.search(q, **options) for q in self.QUERIES]
+        assert batched == sequential
 
     def test_pipeline_batch_uses_result_cache(self, pipeline):
         pipeline.refresh()
