@@ -131,15 +131,19 @@ class TextContextAssigner:
         )
         for _weight, term in ranked[: self.candidate_terms]:
             candidates.update(self.index.papers_containing(term))
-        members = []
-        for paper_id in sorted(candidates):
-            if paper_id in training or paper_id == representative:
-                members.append(paper_id)
-                continue
-            similarity = self.vectors.full_vector(paper_id).cosine(rep_vector)
-            if similarity >= self.similarity_threshold:
-                members.append(paper_id)
-        return list(dict.fromkeys(members))
+        ordered = sorted(candidates)
+        fixed = set(training)
+        fixed.add(representative)
+        scored = [paper_id for paper_id in ordered if paper_id not in fixed]
+        similarity = dict(
+            zip(scored, self.vectors.similarities(scored, representative))
+        )
+        return [
+            paper_id
+            for paper_id in ordered
+            if paper_id in fixed
+            or similarity[paper_id] >= self.similarity_threshold
+        ]
 
 
 class PatternContextAssigner:

@@ -17,7 +17,7 @@ representative paper PC across six facets:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.citations.coupling import citation_similarity
 from repro.citations.graph import CitationGraph
@@ -92,40 +92,49 @@ class TextPrestige(PrestigeScoreFunction):
         representative = self.representatives.get(context.term_id)
         if representative is None or representative not in self.corpus:
             return {}
-        return {
-            paper_id: self.similarity(paper_id, representative)
-            for paper_id in context.paper_ids
-        }
+        return dict(
+            zip(context.paper_ids, self.similarities(context.paper_ids, representative))
+        )
 
     # -- the composite similarity --------------------------------------------------
 
     def similarity(self, paper_id: str, representative: str) -> float:
         """Sim(PX, PC): the full six-facet weighted similarity."""
+        return self.similarities([paper_id], representative)[0]
+
+    def similarities(
+        self, paper_ids: Sequence[str], representative: str
+    ) -> List[float]:
+        """Sim(PX, PC) of every paper in ``paper_ids`` against one PC.
+
+        The four TF-IDF facets are batched per section; each paper's total
+        then adds title, abstract, body, index terms, authors and
+        references in that order, skipping zero weights.
+        """
         w = self.weights
-        total = 0.0
-        if w.title:
-            total += w.title * self.vectors.section_similarity(
-                paper_id, representative, Section.TITLE
+        facets = [
+            (weight, self.vectors.similarities(paper_ids, representative, section))
+            for weight, section in (
+                (w.title, Section.TITLE),
+                (w.abstract, Section.ABSTRACT),
+                (w.body, Section.BODY),
+                (w.index_terms, Section.INDEX_TERMS),
             )
-        if w.abstract:
-            total += w.abstract * self.vectors.section_similarity(
-                paper_id, representative, Section.ABSTRACT
-            )
-        if w.body:
-            total += w.body * self.vectors.section_similarity(
-                paper_id, representative, Section.BODY
-            )
-        if w.index_terms:
-            total += w.index_terms * self.vectors.section_similarity(
-                paper_id, representative, Section.INDEX_TERMS
-            )
-        if w.authors:
-            total += w.authors * self.author_similarity(paper_id, representative)
-        if w.references:
-            total += w.references * citation_similarity(
-                self.graph, paper_id, representative, bib_weight=w.bibliographic
-            )
-        return total
+            if weight
+        ]
+        scores = []
+        for i, paper_id in enumerate(paper_ids):
+            total = 0.0
+            for weight, values in facets:
+                total += weight * values[i]
+            if w.authors:
+                total += w.authors * self.author_similarity(paper_id, representative)
+            if w.references:
+                total += w.references * citation_similarity(
+                    self.graph, paper_id, representative, bib_weight=w.bibliographic
+                )
+            scores.append(total)
+        return scores
 
     def author_similarity(self, paper_a: str, paper_b: str) -> float:
         """SimAuthors = L0Weight * SimL0 + L1Weight * SimL1.

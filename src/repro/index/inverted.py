@@ -55,10 +55,12 @@ class InvertedIndex:
         # dropped wholesale on every mutation.  Sharing one immutable
         # tuple per term keeps the query hot path allocation-free.
         self._postings_views: Dict[str, Tuple[Posting, ...]] = {}
+        self._papers_views: Dict[str, Tuple[str, ...]] = {}
         self._vocabulary_view: Optional[Tuple[str, ...]] = None
 
     def _invalidate_views(self) -> None:
         self._postings_views.clear()
+        self._papers_views.clear()
         self._vocabulary_view = None
 
     # -- construction -------------------------------------------------------------
@@ -186,11 +188,19 @@ class InvertedIndex:
         return self._document_frequency.get(term, 0)
 
     def papers_containing(self, term: str) -> List[str]:
-        """Distinct paper ids containing ``term``, in indexing order."""
-        seen: Dict[str, None] = {}
-        for posting in self._postings.get(term, ()):
-            seen.setdefault(posting.paper_id, None)
-        return list(seen)
+        """Distinct paper ids containing ``term``, in indexing order.
+
+        The distinct-id tuple is memoised per term until the next mutation
+        (the text assigner's candidate pre-filter asks for the same
+        high-weight terms once per context); callers get a fresh list.
+        """
+        view = self._papers_views.get(term)
+        if view is None:
+            view = tuple(
+                dict.fromkeys(posting.paper_id for posting in self._postings.get(term, ()))
+            )
+            self._papers_views[term] = view
+        return list(view)
 
     def term_frequency(
         self, paper_id: str, term: str, section: Optional[Section] = None

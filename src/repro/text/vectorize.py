@@ -1,22 +1,38 @@
-"""Sparse vectors and the TF-IDF weighting model.
+"""Sparse vectors, the TF-IDF weighting model, and a batched cosine kernel.
 
 Implements the classic ``tf * idf`` scheme from Salton's *Automatic Text
 Processing* (paper reference [6]): term frequency (optionally
 log-normalised) times ``log(N / df)``, with cosine-ready L2 normalisation.
 
-Vectors are dict-backed sparse maps from term id to weight.  For the corpus
-sizes this system targets (10^4..10^5 documents, 10^4..10^5 terms) dict
-sparse vectors beat dense numpy rows on both memory and similarity time,
-because paper vectors are short (10^2..10^3 non-zeros).
+Vectors are dict-backed sparse maps from term id to weight.  Paper vectors
+are short (10^2..10^3 non-zeros), so for a *single* pair a dict walk beats
+any numpy set-up.  One-vs-many comparisons (a context representative
+against every candidate or member paper) go through :class:`SparseRows`,
+a CSR copy of many vectors that scores a whole batch with numpy while
+reproducing :meth:`SparseVector.cosine` bit for bit.
+
+Every float sum here accumulates strictly left to right in a fixed order
+(``sum()`` compensates on Python >= 3.12, which would move the last bits
+of scores away from the batched kernel and the golden rankings).
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from repro.text.vocabulary import Vocabulary
+
+
+def _left_sum(values: Iterable[float]) -> float:
+    """Sum floats strictly left to right (no pairing, no compensation)."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 class SparseVector:
@@ -42,16 +58,25 @@ class SparseVector:
                 self._norm = 0.0
             else:
                 self._norm = peak * math.sqrt(
-                    sum((w / peak) ** 2 for w in self.weights.values())
+                    _left_sum((w / peak) ** 2 for w in self.weights.values())
                 )
         return self._norm
 
     def dot(self, other: "SparseVector") -> float:
-        """Sparse dot product (iterates the smaller vector)."""
+        """Sparse dot product.
+
+        Walks the shorter vector (``self`` on a length tie) in its dict
+        order and adds the products left to right -- the order
+        :class:`SparseRows` reproduces.
+        """
         a, b = self.weights, other.weights
         if len(a) > len(b):
             a, b = b, a
-        return sum(weight * b[term] for term, weight in a.items() if term in b)
+        total = 0.0
+        for term, weight in a.items():
+            if term in b:
+                total += weight * b[term]
+        return total
 
     def cosine(self, other: "SparseVector") -> float:
         """Cosine similarity in [0, 1] for non-negative weights.
@@ -86,7 +111,7 @@ class SparseVector:
             # well-conditioned intermediate.
             peak = max(abs(w) for w in self.weights.values())
             scaled = {t: w / peak for t, w in self.weights.items()}
-            m = math.sqrt(sum(v * v for v in scaled.values()))
+            m = math.sqrt(_left_sum(v * v for v in scaled.values()))
             return SparseVector({t: v / m for t, v in scaled.items()})
         return SparseVector({t: w / n for t, w in self.weights.items()})
 
@@ -133,6 +158,102 @@ def centroid(vectors: Iterable[SparseVector]) -> SparseVector:
     if count == 0:
         return SparseVector()
     return SparseVector({t: w / count for t, w in total.items()})
+
+
+class SparseRows:
+    """CSR copy of many :class:`SparseVector` rows for one-vs-many cosines.
+
+    :meth:`cosines` returns exactly ``[rows[i].cosine(query) for i in
+    row_ids]``, float for float.  Each row's dot product walks the same
+    vector as :meth:`SparseVector.dot` (the shorter one, the row on a
+    tie) in that vector's dict order: products are scattered into a
+    transient zero-padded ``(rows, len(query))`` block in walk order and
+    reduced with ``np.cumsum`` along each row, which adds strictly left to
+    right.  ``np.sum``, ``np.dot``/``@``, ``einsum`` and
+    ``np.add.reduceat`` sum pairwise or in BLAS order and would not be
+    bit-exact.  Rows whose norm product under- or overflows take the
+    scalar :meth:`SparseVector.cosine` fallback.
+    """
+
+    __slots__ = ("_vectors", "_indptr", "_lengths", "_terms", "_weights",
+                 "_norms", "_span")
+
+    def __init__(self, vectors: Sequence[SparseVector]) -> None:
+        self._vectors = list(vectors)
+        count = len(self._vectors)
+        self._lengths = np.fromiter(
+            (len(v.weights) for v in self._vectors), dtype=np.int64, count=count
+        )
+        self._indptr = np.zeros(count + 1, dtype=np.int64)
+        np.cumsum(self._lengths, out=self._indptr[1:])
+        nnz = int(self._indptr[-1])
+        self._terms = np.fromiter(
+            (t for v in self._vectors for t in v.weights), dtype=np.int32, count=nnz
+        )
+        self._weights = np.fromiter(
+            (w for v in self._vectors for w in v.weights.values()),
+            dtype=np.float64,
+            count=nnz,
+        )
+        self._norms = np.fromiter(
+            (v.norm for v in self._vectors), dtype=np.float64, count=count
+        )
+        #: One past the largest term id any row holds.
+        self._span = int(self._terms.max()) + 1 if nnz else 0
+
+    def cosines(self, row_ids: Sequence[int], query: SparseVector) -> List[float]:
+        """Cosine of each listed row (repeats allowed) against ``query``."""
+        rows = np.asarray(row_ids, dtype=np.int64)
+        n = len(rows)
+        width = len(query.weights)
+        if n == 0 or width == 0 or query.norm == 0.0:
+            return [0.0] * n
+        q_terms = np.fromiter(query.weights, dtype=np.int64, count=width)
+        q_weights = np.fromiter(query.weights.values(), dtype=np.float64, count=width)
+        # Column of each query term in the query's dict order; -1 = absent.
+        known = q_terms < self._span
+        q_column = np.full(self._span, -1, dtype=np.int64)
+        q_column[q_terms[known]] = np.flatnonzero(known)
+
+        # Every stored entry of the requested rows, row by row: position
+        # ``k`` of this flat walk is stored entry ``entry[k]``.
+        lengths = self._lengths[rows]
+        ends = np.cumsum(lengths)
+        first = ends - lengths
+        entry = np.repeat(self._indptr[rows] - first, lengths) + np.arange(
+            int(ends[-1])
+        )
+        column = q_column[self._terms[entry]]
+        hit = np.flatnonzero(column >= 0)
+        entry, column = entry[hit], column[hit]
+        row_of = np.searchsorted(ends, hit, side="right")
+        offset = hit - first[row_of]
+        # A row no longer than the query is walked in its own order;
+        # a longer row is walked in the query's order.
+        walk_row = (lengths <= width)[row_of]
+        block = np.zeros((n, width), dtype=np.float64)
+        norms = self._norms[rows]
+        # Huge weights may overflow here; those rows take the fallback.
+        with np.errstate(all="ignore"):
+            block[row_of, np.where(walk_row, offset, column)] = (
+                self._weights[entry] * q_weights[column]
+            )
+            # ``+ 0.0`` turns a -0.0 total into the 0.0 that a sum started
+            # at 0.0 would give; every other value passes unchanged.
+            dots = np.cumsum(block, axis=1, out=block)[:, -1] + 0.0
+            denominators = norms * query.norm
+            values = dots / denominators
+        # Clamp exactly like ``min(max(value, 0.0), 1.0)`` (NaN passes).
+        values = np.where(values < 0.0, 0.0, values)
+        values = np.where(values > 1.0, 1.0, values)
+        values[norms == 0.0] = 0.0
+        result = values.tolist()
+        fallback = (norms != 0.0) & (
+            (denominators == 0.0) | np.isinf(denominators)
+        )
+        for i in np.flatnonzero(fallback).tolist():
+            result[i] = self._vectors[rows[i]].cosine(query)
+        return result
 
 
 class TfidfModel:

@@ -215,6 +215,40 @@ class TestTextPrestige:
         raw = content_only.score_context(tiny_setup["paper_set"].context("met"))
         assert raw["M1"] > raw["M3"]
 
+    def test_batched_scores_equal_per_paper_formula(self, tiny_setup):
+        from repro.citations.coupling import citation_similarity
+        from repro.corpus.paper import Section
+
+        scorer = TextPrestige(
+            tiny_setup["corpus"],
+            tiny_setup["vectors"],
+            tiny_setup["graph"],
+            {"met": "M2"},
+        )
+        vectors, w = tiny_setup["vectors"], scorer.weights
+
+        def reference(paper_id, rep):
+            # Sim(PX, PC) one pair at a time, facets added in paper order.
+            total = 0.0
+            for weight, section in (
+                (w.title, Section.TITLE),
+                (w.abstract, Section.ABSTRACT),
+                (w.body, Section.BODY),
+                (w.index_terms, Section.INDEX_TERMS),
+            ):
+                total += weight * vectors.section_similarity(paper_id, rep, section)
+            total += w.authors * scorer.author_similarity(paper_id, rep)
+            total += w.references * citation_similarity(
+                tiny_setup["graph"], paper_id, rep, bib_weight=w.bibliographic
+            )
+            return total
+
+        wide = Context("met", ("M1", "M2", "M3", "S1", "S2", "X1", "M1"))
+        raw = scorer.score_context(wide)
+        for paper_id in wide.paper_ids:
+            assert raw[paper_id] == reference(paper_id, "M2")
+            assert scorer.similarity(paper_id, "M2") == raw[paper_id]
+
     def test_topical_ordering(self, tiny_setup):
         scorer = TextPrestige(
             tiny_setup["corpus"],

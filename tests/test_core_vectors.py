@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.vectors import PaperVectorStore
-from repro.corpus.paper import Section
+from repro.corpus.paper import Section, TEXT_SECTIONS
 
 
 @pytest.fixture(scope="module")
@@ -62,3 +62,58 @@ class TestFullVectors:
 
     def test_centroid_of_empty(self, store):
         assert len(store.centroid_of([])) == 0
+
+
+class TestBatchedSimilarities:
+    MODELS = (None,) + tuple(TEXT_SECTIONS)
+
+    @staticmethod
+    def _scalar(store, paper_ids, other, section):
+        if section is None:
+            return [store.full_similarity(pid, other) for pid in paper_ids]
+        return [store.section_similarity(pid, other, section) for pid in paper_ids]
+
+    def test_equal_to_scalar_path(self, store, tiny_corpus):
+        paper_ids = tiny_corpus.paper_ids()
+        paper_ids = paper_ids + paper_ids[:2]  # repeats are allowed
+        for section in self.MODELS:
+            for other in ("M1", "S2", "X1"):
+                assert store.similarities(paper_ids, other, section) == (
+                    self._scalar(store, paper_ids, other, section)
+                )
+
+    def test_after_delta_equals_fresh_store(self, tiny_corpus):
+        from repro.corpus.corpus import Corpus
+        from repro.corpus.paper import Paper
+        from repro.obs import get_registry
+
+        corpus = Corpus(list(tiny_corpus))
+        store = PaperVectorStore(corpus)
+        before = corpus.paper_ids()
+        for section in self.MODELS:
+            store.similarities(before, "M1", section)
+        builds = get_registry().counter("vectors.kernel.builds")
+        assert builds.value == len(self.MODELS)
+
+        removed = corpus.remove("M3")
+        added = Paper(
+            paper_id="N1",
+            title="glucose sensing kinase cascade",
+            abstract="a glucose sensing kinase cascade in signaling",
+            body="kinase cascade signaling responds to glucose sensing stress",
+            index_terms=("glucose", "signaling"),
+            authors=("D. Delta",),
+        )
+        corpus.add(added)
+        store.apply_delta([added], [removed])
+        fresh = PaperVectorStore(corpus)
+        after = corpus.paper_ids()
+        for section in self.MODELS:
+            for other in ("M1", "N1"):
+                assert store.similarities(after, other, section) == (
+                    fresh.similarities(after, other, section)
+                )
+        assert builds.value == 3 * len(self.MODELS)
+        assert get_registry().counter("vectors.similarity.pairs").value == (
+            len(before) * len(self.MODELS) + 4 * len(after) * len(self.MODELS)
+        )

@@ -83,6 +83,29 @@ class TestIndexing:
         assert "of" not in index
 
 
+class TestPapersContainingMemo:
+    def test_memo_follows_add_and_remove(self, corpus):
+        index = InvertedIndex().index_corpus(corpus)
+
+        def fresh():
+            return InvertedIndex().index_corpus(corpus)
+
+        assert index.papers_containing("gene") == fresh().papers_containing("gene")
+        added = Paper(paper_id="P4", title="gene studies", body="gene gene")
+        corpus.add(added)
+        index.add_document(added)
+        assert index.papers_containing("gene") == ["P1", "P4"]
+        assert index.papers_containing("gene") == fresh().papers_containing("gene")
+        corpus.remove("P4")
+        index.remove_document("P4")
+        assert index.papers_containing("gene") == ["P1"]
+        assert index.papers_containing("gene") == fresh().papers_containing("gene")
+
+    def test_callers_get_their_own_list(self, index):
+        index.papers_containing("fold").append("X")
+        assert index.papers_containing("fold") == ["P2"]
+
+
 class TestRemovePaper:
     @pytest.fixture
     def index(self, corpus):

@@ -10,7 +10,7 @@ from repro.text.analyze import Analyzer
 from repro.text.similarity import dice_coefficient, jaccard_similarity
 from repro.text.stem import PorterStemmer
 from repro.text.tokenize import ngrams, tokenize
-from repro.text.vectorize import SparseVector, TfidfModel, centroid
+from repro.text.vectorize import SparseRows, SparseVector, TfidfModel, centroid
 
 words = st.text(alphabet=string.ascii_lowercase, min_size=1, max_size=12)
 texts = st.text(
@@ -21,6 +21,21 @@ weight_maps = st.dictionaries(
     st.integers(min_value=0, max_value=50),
     st.floats(min_value=0.0, max_value=100.0, allow_nan=False),
     max_size=20,
+)
+#: Ordinary TF-IDF-range weights plus subnormal and huge magnitudes, whose
+#: norm products under- or overflow into the scalar fallback.
+kernel_weights = st.one_of(
+    st.floats(min_value=0.0, max_value=100.0),
+    st.floats(min_value=1e-312, max_value=1e-305),
+    st.floats(min_value=1e299, max_value=1e302),
+)
+#: Row vectors hold term ids 0..30; queries reach up to 60, so some query
+#: terms appear in no row.  Few ids keep length ties and overlaps common.
+row_maps = st.dictionaries(
+    st.integers(min_value=0, max_value=30), kernel_weights, max_size=12
+)
+query_maps = st.dictionaries(
+    st.integers(min_value=0, max_value=60), kernel_weights, max_size=12
 )
 
 
@@ -104,6 +119,12 @@ class TestSparseVectorProperties:
         va, vb = SparseVector(a), SparseVector(b)
         assert math.isclose(va.dot(vb), vb.dot(va), rel_tol=1e-9, abs_tol=1e-12)
 
+    def test_dot_adds_left_to_right(self):
+        # Compensated summation (float ``sum()`` on Python >= 3.12) would
+        # return 1.0000000000000002 here.
+        a = SparseVector({0: 1.0, 1: 1e-16, 2: 1e-16})
+        assert a.dot(SparseVector({0: 1.0, 1: 1.0, 2: 1.0})) == 1.0
+
     @given(st.lists(weight_maps, max_size=6))
     def test_centroid_weights_bounded_by_max(self, maps):
         vectors = [SparseVector(m) for m in maps]
@@ -111,6 +132,70 @@ class TestSparseVectorProperties:
         for term, weight in center.weights.items():
             biggest = max(v.weights.get(term, 0.0) for v in vectors)
             assert weight <= biggest + 1e-9
+
+
+class TestSparseRowsKernel:
+    """The batched kernel behind ``PaperVectorStore.similarities``."""
+
+    @staticmethod
+    def _bits(values):
+        return [value.hex() for value in values]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(row_maps, min_size=1, max_size=8),
+        query_maps,
+        st.lists(st.integers(min_value=0, max_value=7), max_size=16),
+    )
+    def test_similarities_equal_scalar_cosine_bit_for_bit(self, rows, query, picks):
+        vectors = [SparseVector(weights) for weights in rows]
+        kernel = SparseRows(vectors)
+        q = SparseVector(query)
+        row_ids = [pick % len(vectors) for pick in picks]  # repeats allowed
+        expected = [vectors[row].cosine(q) for row in row_ids]
+        assert self._bits(kernel.cosines(row_ids, q)) == self._bits(expected)
+
+    def test_equal_length_tie_walks_the_row(self):
+        row = SparseVector({0: 1.0, 1: 1e-16, 2: 1e-16})
+        query = SparseVector({2: 1.0, 1: 1.0, 0: 1.0})
+        # The two walk orders round differently, so the tie rule shows.
+        assert row.cosine(query) != query.cosine(row)
+        assert SparseRows([row]).cosines([0], query) == [row.cosine(query)]
+
+    def test_shorter_query_is_walked(self):
+        row = SparseVector({0: 1.0, 1: 1e-16, 2: 1e-16, 3: 0.5})
+        query = SparseVector({2: 1.0, 1: 1.0, 0: 1.0})
+        expected = row.cosine(query)
+        assert SparseRows([row]).cosines([0], query) == [expected]
+
+    def test_long_rows_add_left_to_right(self):
+        # 1.0 followed by many tiny products: a left-to-right sum drops
+        # every tiny term, pairwise or blocked summation keeps some.
+        weights = {0: 1.0, **{term: 1e-16 for term in range(1, 40)}}
+        row = SparseVector(weights)
+        query = SparseVector({term: 1.0 for term in range(40)})
+        assert row.dot(query) == 1.0
+        assert SparseRows([row, row]).cosines([0, 1], query) == [row.cosine(query)] * 2
+
+    def test_empty_rows_queries_and_batches(self):
+        kernel = SparseRows([SparseVector(), SparseVector({3: 2.0})])
+        assert kernel.cosines([0, 1], SparseVector({3: 1.0})) == [0.0, 1.0]
+        assert kernel.cosines([0, 1], SparseVector()) == [0.0, 0.0]
+        assert kernel.cosines([], SparseVector({3: 1.0})) == []
+        assert SparseRows([]).cosines([], SparseVector({3: 1.0})) == []
+        assert SparseRows([SparseVector()]).cosines([0, 0], SparseVector({9: 1.0})) == [
+            0.0,
+            0.0,
+        ]
+
+    def test_subnormal_and_huge_weights_take_the_fallback(self):
+        tiny = SparseVector({0: 1e-310, 1: 2e-310})
+        huge = SparseVector({0: 1e300, 1: 2e300})
+        kernel = SparseRows([tiny, huge])
+        for query in (tiny, huge):
+            expected = [tiny.cosine(query), huge.cosine(query)]
+            assert kernel.cosines([0, 1], query) == expected
+            assert expected[0] > 0.99
 
 
 class TestSetSimilarityProperties:
