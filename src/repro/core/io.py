@@ -4,15 +4,19 @@ Context paper sets and prestige scores take minutes to build on large
 corpora; these helpers serialise them to JSON so a deployment computes
 them once (the paper's "query independent pre-processing steps") and
 serves searches from disk thereafter.
+
+Every artifact reaches disk through :func:`write_atomic`, so a reader
+(or a crash) sees either the previous file or the new one, never a
+truncated mix.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import uuid
 from pathlib import Path
-from typing import Union
-
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
 from repro.citations.graph import CitationGraph
 from repro.core.context import Context, ContextPaperSet
@@ -33,11 +37,41 @@ _GRAPH_FORMAT = "repro/citation-graph/v1"
 _REPRESENTATIVES_FORMAT = "repro/representatives/v1"
 
 
+def write_atomic(path: PathLike, data: Union[bytes, str]) -> None:
+    """Replace ``path`` with ``data`` in one step (str is UTF-8 encoded).
+
+    The bytes go to a uniquely named temp file in the same directory,
+    which is flushed and fsynced before ``os.replace`` moves it over
+    ``path``.  Readers therefore see the old file or the new one, and a
+    reader that still holds the old file open -- an mmap of the ondisk
+    postings sidecar -- keeps the old inode instead of a truncated one.
+    On any failure the temp file is removed and ``path`` is untouched.
+    """
+    path = Path(path)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    # os.open honours the umask (mkstemp would force mode 0600).
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as handle:
+            handle.write(data)
+            handle.flush()
+            os.fsync(handle.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def write_tagged_json(payload: dict, path: PathLike, format_tag: str) -> None:
-    """Write ``payload`` with a ``format`` tag for load-time validation."""
+    """Write ``payload`` with a ``format`` tag for load-time validation.
+
+    One ``json.dumps`` call runs the C encoder (``json.dump`` streams
+    through the pure-Python ``iterencode``); the bytes are identical.
+    """
     payload = {"format": format_tag, **payload}
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle)
+    write_atomic(path, json.dumps(payload))
 
 
 def read_tagged_json(path: PathLike, format_tag: str) -> dict:

@@ -132,15 +132,14 @@ def save_packed_index(index, path) -> None:
         }
     ).encode("utf-8")
 
+    # lazy: core.io imports repro.index
+    from repro.core.io import write_atomic, write_tagged_json
+
     path = Path(path)
     sidecar = _sidecar_path(path)
-    with open(sidecar, "wb") as handle:
-        handle.write(_MAGIC)
-        handle.write(_LEN.pack(len(header)))
-        handle.write(header)
-        handle.write(bytes(data))
-    from repro.core.io import write_tagged_json  # lazy: core.io imports repro.index
-
+    # Replaced, never rewritten in place: a live backend's mmap keeps the
+    # old inode instead of faulting (SIGBUS) on a truncated file.
+    write_atomic(sidecar, b"".join((_MAGIC, _LEN.pack(len(header)), header, data)))
     write_tagged_json({"backend": "ondisk", "data_file": sidecar.name},
                       path, ONDISK_FORMAT)
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
+from repro.core.io import write_atomic
 from repro.obs import get_registry, span
 from repro.workspace.artifact import ARTIFACTS, topological_order
 from repro.workspace.fingerprint import InputDigests, artifact_fingerprints
@@ -350,12 +351,12 @@ def ingest_delta(
         if report.is_noop:
             trace.set(generation=parent_generation, noop=True)
             return report, None
-        # Archive the parent manifest before build() overwrites it; the
-        # artifact files themselves are overwritten in place (generations
-        # share artifact storage -- the chain records *what changed*, not
-        # full snapshots).
+        # Archive the parent manifest before build() replaces it; the
+        # artifact files themselves are replaced under the same names
+        # (generations share artifact storage -- the chain records *what
+        # changed*, not full snapshots).
         archive = directory / generation_archive_name(parent_generation)
-        archive.write_bytes((directory / MANIFEST_FILE).read_bytes())
+        write_atomic(archive, (directory / MANIFEST_FILE).read_bytes())
         builder = WorkspaceBuilder(pipeline, directory)
         builder._next_lineage = {
             "generation": parent_generation + 1,

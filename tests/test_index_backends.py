@@ -10,8 +10,14 @@ pipeline and the CLI with zero edits under ``repro/core/`` or
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.index import backends
 from repro.index.backends import memory as memory_backend
@@ -309,6 +315,54 @@ class TestFormatDispatch:
             index.backend_name = original
         assert backends.sniff_backend(path) == "ondisk"
         assert ondisk_backend._sidecar_path(path).exists()
+
+
+#: Packs a ``small``-preset index, opens a live backend on it, re-packs a
+#: 20-paper index to the same path, then reads every term through the
+#: old backend.  Before the sidecar was replaced atomically the re-pack
+#: truncated the mmapped file in place and the read died of SIGBUS.
+_REWRITE_UNDER_READER = """
+import sys
+from repro.datagen.presets import get_preset
+from repro.index.backends import ondisk
+from repro.pipeline import Pipeline, build_demo_pipeline
+
+path = sys.argv[1]
+source = Pipeline.from_dataset(get_preset("small").generate(seed=1)).index
+ondisk.save_packed_index(source, path)
+live = ondisk.OndiskPostingsBackend(path)
+ondisk.save_packed_index(
+    build_demo_pipeline(seed=2, n_papers=20, n_terms=10).index, path
+)
+terms = list(source.vocabulary())
+assert tuple(live.vocabulary()) == tuple(terms)
+for term in terms:
+    if tuple(live.postings(term)) != tuple(source.postings(term)):
+        sys.exit(f"postings of {term!r} changed under the live reader")
+assert ondisk.OndiskPostingsBackend(path).n_papers == 20
+print(f"{live.n_papers} papers, {len(terms)} terms read")
+"""
+
+
+class TestSidecarReplacedUnderLiveReader:
+    def test_live_backend_keeps_the_old_postings(self, tmp_path):
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", _REWRITE_UNDER_READER,
+             str(tmp_path / "index.json")],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=300,
+        )
+        # A negative return code is the signal number (-7 is SIGBUS).
+        assert result.returncode == 0, (result.returncode, result.stderr[-2000:])
+        assert result.stdout.startswith("800 papers, ")
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 class TestToyThirdBackend:

@@ -17,11 +17,14 @@ from repro.core.scores import (
     CitationPrestige,
     NORMALIZERS,
     PrestigeScoreFunction,
+    PrestigeScores,
     TextPrestige,
 )
-from repro.pipeline import build_demo_pipeline
+from repro.corpus.corpus import Corpus
+from repro.corpus.paper import Paper
+from repro.pipeline import Pipeline, build_demo_pipeline
 from repro.scoring import CombinedPrestige, ScoreFunctionSpec
-from repro.workspace import ARTIFACTS
+from repro.workspace import ARTIFACTS, open_workspace
 
 
 class ToyPrestige(PrestigeScoreFunction):
@@ -233,6 +236,8 @@ class TestCombinedFunction:
             CombinedPrestige([])
         with pytest.raises(ValueError, match="positive"):
             CombinedPrestige([(ToyPrestige(), 0.0)])
+        with pytest.raises(ValueError, match="align"):
+            CombinedPrestige([(ToyPrestige(), 1.0)], memos=[None, None])
 
     def test_combined_searches_end_to_end(self):
         pipeline = build_demo_pipeline(seed=7, n_papers=80, n_terms=25)
@@ -245,3 +250,137 @@ class TestCombinedFunction:
         )
         for hit in hits:
             assert 0.0 <= hit.prestige <= 1.0
+
+
+def _hex_tables(scores: PrestigeScores):
+    """Final and pre-propagation scores as ordered ``float.hex`` rows."""
+
+    def rows(by_context):
+        return [
+            (cid, [(pid, value.hex()) for pid, value in row.items()])
+            for cid, row in by_context.items()
+        ]
+
+    final = {cid: scores.of(cid) for cid in scores.context_ids()}
+    return rows(final), rows(scores.pre_propagation)
+
+
+def _scratch_combined(store, paper_set_name="text") -> PrestigeScores:
+    """``combined`` scored from scratch: both components called per context."""
+    text = TextPrestige(
+        store.corpus, store.vectors, store.citation_graph, store.representatives
+    )
+    blend = CombinedPrestige(
+        [(CitationPrestige(store.citation_graph), 0.5), (text, 0.5)]
+    )
+    return blend.score_all(store.paper_set(paper_set_name))
+
+
+def _refuse(self, context):
+    raise AssertionError(f"{self.name} re-scored {context.term_id}")
+
+
+class TestCombinedMemoParity:
+    """``combined/text`` blends the memoised component tables bit-for-bit.
+
+    Each case compares every float (``float.hex``) and the key order of
+    both the final and the pre-propagation scores with a from-scratch
+    blend, so reading a component's propagated scores -- or any change of
+    summation order -- fails.
+    """
+
+    @pytest.fixture()
+    def pipeline(self):
+        return build_demo_pipeline(seed=11, n_papers=120, n_terms=30)
+
+    def test_fresh_build_reads_the_memos(self, pipeline, monkeypatch):
+        store = pipeline.substrates
+        store.prestige("citation", "text")
+        store.prestige("text", "text")
+        final, pre = expected = _hex_tables(_scratch_combined(store))
+        assert final != pre, "fixture must exercise max-propagation"
+        monkeypatch.setattr(CitationPrestige, "score_context", _refuse)
+        monkeypatch.setattr(TextPrestige, "score_context", _refuse)
+        assert _hex_tables(store.prestige("combined", "text")) == expected
+
+    def test_after_delta_matches_scratch_store(self, pipeline):
+        store = pipeline.substrates
+        for function in ("citation", "text", "combined"):
+            store.prestige(function, "text")
+        training = {pid for ids in pipeline.training_papers.values() for pid in ids}
+        papers = list(pipeline.corpus)
+        removed = [p.paper_id for p in papers if p.paper_id not in training][:3]
+        added = Paper(
+            paper_id="PCOMBINED01",
+            title=papers[0].title,
+            abstract=papers[1].abstract,
+            body=papers[2].body,
+            references=(papers[0].paper_id, papers[3].paper_id),
+        )
+        report = store.apply_delta(added_papers=[added], removed_ids=removed)
+        # The patched citation memo, not a recompute, feeds the blend.
+        assert "citation/text" in report.scores_patched
+        assert "combined/text" in report.scores_dropped
+
+        final = Corpus()
+        for paper in pipeline.corpus:
+            final.add(paper)
+        scratch = Pipeline(
+            corpus=final,
+            ontology=pipeline.ontology,
+            training_papers=pipeline.training_papers,
+        ).substrates
+        assert _hex_tables(store.prestige("combined", "text")) == _hex_tables(
+            _scratch_combined(scratch)
+        )
+
+    @pytest.mark.parametrize("keep_memo", [True, False], ids=["memo", "none"])
+    def test_components_installed_from_a_workspace(
+        self, pipeline, tmp_path, keep_memo
+    ):
+        pipeline.build_workspace(
+            tmp_path, only=["scores_citation_text", "scores_text_text"]
+        )
+        reopened = Pipeline(
+            corpus=pipeline.corpus,
+            ontology=pipeline.ontology,
+            training_papers=pipeline.training_papers,
+        )
+        open_workspace(reopened, tmp_path, strict=False)
+        store = reopened.substrates
+        assert "combined/text" not in store.scores
+        for key in ("citation/text", "text/text"):
+            installed = store.scores[key]
+            assert installed.pre_propagation is not None
+            if not keep_memo:
+                store.install_scores(key, PrestigeScores(
+                    installed.function_name,
+                    {cid: installed.of(cid) for cid in installed.context_ids()},
+                ))
+        assert _hex_tables(store.prestige("combined", "text")) == _hex_tables(
+            _scratch_combined(pipeline.substrates)
+        )
+
+    def test_other_paper_sets_score_from_scratch(self, pipeline):
+        """Text-set memos never leak into a pattern-set blend."""
+        store = pipeline.substrates
+        assert _hex_tables(store.prestige("combined", "pattern")) == _hex_tables(
+            _scratch_combined(store, "pattern")
+        )
+
+    def test_decayed_contexts_bypass_their_memo(self, pipeline):
+        """A memo holds normalised score * decay; a decayed context is re-scored."""
+        store = pipeline.substrates
+        pattern_set = store.paper_set("pattern")
+        assert any(c.decay != 1.0 for c in pattern_set)
+        expected = _scratch_combined(store, "pattern")
+        components = [
+            (scoring.get(name).factory(store), 0.5) for name in ("citation", "text")
+        ]
+        blend = CombinedPrestige(
+            components,
+            memos=[scorer.score_all(pattern_set).pre_propagation
+                   for scorer, _ in components],
+            memo_paper_set=pattern_set,
+        )
+        assert _hex_tables(blend.score_all(pattern_set)) == _hex_tables(expected)

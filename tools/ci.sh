@@ -25,6 +25,10 @@ echo "== lint: workspace artifact registry =="
 python tools/check_workspace_manifest.py
 
 echo
+echo "== lint: artifact writes go through write_atomic =="
+python tools/check_atomic_writes.py
+
+echo
 echo "== bench: regression gates (serving speedup, obs overhead, index backend, http qps) =="
 python tools/check_bench_regression.py
 
